@@ -575,10 +575,10 @@ func BenchmarkOverloadBlock(b *testing.B)      { benchOverload(b, trace.Block())
 func BenchmarkOverloadDropNewest(b *testing.B) { benchOverload(b, trace.DropNewest()) }
 func BenchmarkOverloadSample8(b *testing.B)    { benchOverload(b, trace.Sample(8)) }
 
-// The profile-construction stage in isolation: the flat path copies and
-// globally sorts the merged stream, the sharded path groups the per-shard
-// stores in place. This is the stage the refactor actually restructures, so
-// it is where the win is largest and core-count independent.
+// The profile-construction stage of Analyze in isolation: the flat path
+// copies and globally sorts the merged stream, the parallel path groups
+// contiguous chunks concurrently and sorts only out-of-order instances.
+// (AnalyzeCollector builds no profiles: it folds the shard stores in place.)
 
 func BenchmarkBuild1MFlat(b *testing.B) {
 	s, events := analyze1MTrace(b)
@@ -591,16 +591,12 @@ func BenchmarkBuild1MFlat(b *testing.B) {
 	}
 }
 
-func BenchmarkBuild1MSharded(b *testing.B) {
-	col := trace.NewShardedCollector(0)
-	s := trace.NewSessionWith(trace.Options{Recorder: col})
-	pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
-	col.Close()
-	shards := col.ShardEvents()
+func BenchmarkBuild1MParallel(b *testing.B) {
+	s, events := analyze1MTrace(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ps := profile.BuildShards(s, shards, 0); len(ps) != pipeBenchProducers {
+		if ps := profile.BuildParallel(s, events, 0); len(ps) != pipeBenchProducers {
 			b.Fatalf("profiles = %d", len(ps))
 		}
 	}

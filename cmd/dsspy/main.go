@@ -349,6 +349,11 @@ func main() {
 	if timed != nil && rep.Stats != nil {
 		rep.Stats.Overhead = overheadStats(timed, wall, plainWall)
 	}
+	if col != nil && !o.stream && (o.chart || o.svgPath != "" || o.htmlPath != "") {
+		// The collector's reports fold the events instead of keeping them;
+		// the charts draw the retained trace.
+		rep.AttachEvents(col.Events())
+	}
 	if o.minConf > 0 {
 		if dropped := rep.FilterMinConfidence(o.minConf); dropped > 0 {
 			fmt.Printf("suppressed %d finding(s) below confidence %.2f\n\n", dropped, o.minConf)

@@ -219,9 +219,11 @@ func Run(workload func(*Session)) *Report {
 	return core.New().Run(workload)
 }
 
-// RunSharded profiles the workload with the sharded collector and analyzes
-// the shards in place with the parallel pipeline. The report is identical to
-// Run's; collection and analysis scale with GOMAXPROCS.
+// RunSharded profiles the workload with the sharded collector and folds each
+// shard's columnar store in place, one worker per shard. The report is
+// identical to Run's, except that its profiles keep the folded figures, not
+// the events (Report.AttachEvents restores them for charts); collection and
+// analysis scale with GOMAXPROCS.
 func RunSharded(workload func(*Session)) *Report {
 	return core.New().RunSharded(workload)
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"dsspy/internal/metrics"
@@ -27,14 +28,14 @@ type Config struct {
 	Thresholds usecase.Thresholds
 	Pattern    pattern.Config
 	Regularity pattern.RegularityConfig
-	// Workers bounds the fan-out of per-instance analysis (profile
-	// grouping, pattern summaries, use-case detection, regularity, shared
-	// access). 0 means GOMAXPROCS; 1 is the classic sequential pipeline.
+	// Workers bounds the fan-out of the analysis: profile grouping and the
+	// per-instance fold in Analyze, the per-shard fold in AnalyzeCollector,
+	// and finalization. 0 means GOMAXPROCS; 1 is sequential.
 	// The report is byte-identical for every value: results are written by
 	// instance order, never by completion order.
 	Workers int
 	// Tracer, when set, records self-profiling spans for the analysis
-	// stages (build-profiles, per-instance analysis, snapshot, finalize).
+	// stages (build-profiles, order, fold, finalize, snapshot).
 	// Nil disables tracing; it never influences the findings.
 	Tracer *obs.Tracer
 }
@@ -118,19 +119,16 @@ type Report struct {
 	Stats *metrics.PipelineStats
 }
 
-// Pipeline stage indexes into the metrics clocks, in execution order.
+// Stage clocks of the batch entry points, in execution order. Both fold the
+// events through the streaming reducers and finalize them; they differ in
+// the first stage. Analyze groups the flat stream into retained profiles
+// ("build-profiles"); AnalyzeCollector puts each shard store in per-instance
+// sequence order ("order"), sorting a store only when it has to.
 const (
-	stageBuild = iota
-	stageSummarize
-	stageUseCases
-	stageRegularity
-	stageShared
-	numStages
+	stagePrepare = iota
+	stageFold
+	stageFinalize
 )
-
-func newPipelineClocks() *metrics.Pipeline {
-	return metrics.NewPipeline("build-profiles", "summarize", "use-cases", "regularity", "shared-access")
-}
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
 func (d *DSspy) workers() int {
@@ -140,32 +138,55 @@ func (d *DSspy) workers() int {
 	return par.DefaultParallelism()
 }
 
-// Analyze builds profiles from the events and runs pattern and use-case
-// detection on each, fanning per-instance work across Config.Workers
-// goroutines. Report ordering is deterministic (by instance id) regardless
-// of the worker count.
+// Analyze builds profiles from the events and folds each one through the
+// streaming reducers StreamAnalyzer uses, fanning instances across
+// Config.Workers goroutines. The profiles keep their events (charts and the
+// figure demos draw them). Report ordering is deterministic (by instance
+// id) regardless of the worker count.
 func (d *DSspy) Analyze(s *trace.Session, events []trace.Event) *Report {
 	t0 := time.Now()
-	clocks := newPipelineClocks()
+	clocks := metrics.NewPipeline("build-profiles", "fold", "finalize")
 
-	tb := time.Now()
-	bsp := d.cfg.Tracer.Begin("build-profiles", "analyze")
+	t := time.Now()
+	sp := d.cfg.Tracer.Begin("build-profiles", "analyze")
 	profiles := profile.BuildParallel(s, events, d.workers())
-	bsp.End()
-	clocks.Stage(stageBuild).Observe(time.Since(tb))
+	sp.End()
+	clocks.Stage(stagePrepare).Observe(time.Since(t))
 
-	rep := d.analyzeProfiles(s, profiles, clocks)
-	rep.Stats.Events = len(events)
-	rep.Stats.Wall = time.Since(t0)
-	return rep
+	sp = d.cfg.Tracer.Begin("fold", "analyze")
+	results := make([]*InstanceResult, len(profiles))
+	par.For(len(profiles), d.workers(), func(i int) {
+		p := profiles[i]
+		t := time.Now()
+		st := newInstanceStream(d, p.Instance.ID)
+		st.feedEvents(d, p.Events)
+		clocks.Stage(stageFold).Observe(time.Since(t))
+		t = time.Now()
+		results[i] = st.finalize(d, s, p)
+		clocks.Stage(stageFinalize).Observe(time.Since(t))
+	})
+	sp.End("instances", fmt.Sprint(len(profiles)))
+	return &Report{
+		Instances:  results,
+		Registered: s.Instances(),
+		Stats: &metrics.PipelineStats{
+			Events:     len(events),
+			Instances:  len(results),
+			Workers:    d.workers(),
+			Wall:       time.Since(t0),
+			Stages:     clocks.Snapshot(),
+			Contention: contentionStats(results),
+		},
+	}
 }
 
-// AnalyzeCollector analyzes the events held by a closed collector. For a
-// ShardedCollector the profiles are built shard-locally from the per-shard
-// stores in place, skipping the global merge copy and sort that the flat
-// Events view costs; any other collector falls back to Analyze on the
-// merged stream. Either way the collector's queue statistics are attached
-// to Report.Stats.
+// AnalyzeCollector analyzes the events held by a closed collector. A
+// ShardedCollector's columnar shard stores are fed in place, one worker per
+// shard, into a StreamAnalyzer with one shard per store, and finalized by
+// it: no event is inflated or regrouped and every event is folded once. The
+// resulting profiles are event-free (Report.AttachEvents restores them for
+// charts). Any other collector falls back to Analyze on the merged stream.
+// Either way the collector's queue statistics are attached to Report.Stats.
 func (d *DSspy) AnalyzeCollector(s *trace.Session, col trace.Collector) *Report {
 	sc, ok := col.(*trace.ShardedCollector)
 	if !ok {
@@ -175,88 +196,70 @@ func (d *DSspy) AnalyzeCollector(s *trace.Session, col trace.Collector) *Report 
 		return rep
 	}
 
-	t0 := time.Now()
-	clocks := newPipelineClocks()
+	clocks := metrics.NewPipeline("order", "fold", "finalize")
+	stores := sc.ShardColumns()
+	a := d.NewStreamAnalyzer(len(stores))
+	a.session = s
+	par.For(len(stores), d.workers(), func(i int) {
+		b := stores[i]
+		if b.Len() == 0 {
+			return
+		}
+		shard := strconv.Itoa(i)
+		t := time.Now()
+		sp := d.cfg.Tracer.Begin("order", "analyze")
+		// Every instance lives in one shard, and the fold must see it in
+		// sequence order, as Analyze's sorted profiles do. A whole-store
+		// check would be too coarse: a shard fed by several producers
+		// interleaves instances while each one is still in order.
+		if !instancesInSeqOrder(b) {
+			b.SortBySeq()
+		}
+		sp.End("shard", shard)
+		clocks.Stage(stagePrepare).Observe(time.Since(t))
 
-	tb := time.Now()
-	bsp := d.cfg.Tracer.Begin("build-profiles", "analyze")
-	shards := sc.ShardEvents()
-	total := 0
-	for _, evs := range shards {
-		total += len(evs)
-	}
-	profiles := profile.BuildShards(s, shards, d.workers())
-	bsp.End()
-	clocks.Stage(stageBuild).Observe(time.Since(tb))
+		t = time.Now()
+		sp = d.cfg.Tracer.Begin("fold", "analyze")
+		a.feedShardCols(i, b, 0, b.Len())
+		sp.End("shard", shard, "events", strconv.Itoa(b.Len()))
+		clocks.Stage(stageFold).Observe(time.Since(t))
+	})
 
-	rep := d.analyzeProfiles(s, profiles, clocks)
-	rep.Stats.Events = total
-	rep.Stats.Wall = time.Since(t0)
+	t := time.Now()
+	sp := d.cfg.Tracer.Begin("finalize", "analyze")
+	rep := a.buildReport(a.live())
+	sp.End("instances", fmt.Sprint(len(rep.Instances)))
+	clocks.Stage(stageFinalize).Observe(time.Since(t))
+	// A batch report: the stream counters describe no live run.
+	rep.Stats.Streaming = nil
+	rep.Stats.Workers = d.workers()
+	rep.Stats.Stages = clocks.Snapshot()
 	cs := sc.Stats()
 	rep.Stats.Collector = &cs
 	return rep
 }
 
-// analyzeProfiles runs the per-instance stages over the worker pool and
-// assembles the report. Results land at their profile's index, so the
-// report order never depends on goroutine scheduling.
-func (d *DSspy) analyzeProfiles(s *trace.Session, profiles []*profile.Profile, clocks *metrics.Pipeline) *Report {
-	results := make([]*InstanceResult, len(profiles))
-	workers := d.workers()
-	asp := d.cfg.Tracer.Begin("analyze-instances", "analyze")
-	par.For(len(profiles), workers, func(i int) {
-		p := profiles[i]
-		st := p.Stats() // computed once; every stage below reads the cache
-
-		t := time.Now()
-		sum := pattern.SummarizeThreads(p, d.cfg.Pattern)
-		clocks.Stage(stageSummarize).Observe(time.Since(t))
-
-		t = time.Now()
-		ucs := usecase.DetectWithSummary(p, sum, d.cfg.Thresholds)
-		clocks.Stage(stageUseCases).Observe(time.Since(t))
-
-		t = time.Now()
-		// Regularity is judged over the global (interleaved) segmentation;
-		// for single-threaded profiles that is exactly the summary already
-		// computed, so only multi-threaded profiles summarize again.
-		gsum := sum
-		if st.Threads > 1 {
-			gsum = pattern.Summarize(p, d.cfg.Pattern)
+// instancesInSeqOrder reports whether every instance's events in b appear
+// in ascending sequence order, in one walk over the Instance and Seq
+// columns.
+func instancesInSeqOrder(b *trace.ColumnBatch) bool {
+	n := b.Len()
+	last := make(map[trace.InstanceID]uint64)
+	for i := 0; i < n; {
+		j := b.InstanceRun(i, n)
+		seq := b.Seq[i:j]
+		if prev, ok := last[b.Instance[i]]; ok && seq[0] < prev {
+			return false
 		}
-		regular := pattern.RegularityFrom(gsum, st, d.cfg.Regularity)
-		clocks.Stage(stageRegularity).Observe(time.Since(t))
-
-		t = time.Now()
-		shared := profile.SharedAccessOf(p)
-		// The cross-thread summary exists only for multi-thread instances
-		// (DetectWithSummary already populated the cache for those).
-		var ct *profile.Contention
-		if st.Threads > 1 {
-			ct = p.Contention()
+		for k := 1; k < len(seq); k++ {
+			if seq[k] < seq[k-1] {
+				return false
+			}
 		}
-		clocks.Stage(stageShared).Observe(time.Since(t))
-
-		results[i] = &InstanceResult{
-			Profile:    p,
-			Summary:    sum,
-			UseCases:   ucs,
-			Regular:    regular,
-			Shared:     shared,
-			Contention: ct,
-		}
-	})
-	asp.End("instances", fmt.Sprint(len(profiles)))
-	return &Report{
-		Instances:  results,
-		Registered: s.Instances(),
-		Stats: &metrics.PipelineStats{
-			Instances:  len(profiles),
-			Workers:    workers,
-			Stages:     clocks.Snapshot(),
-			Contention: contentionStats(results),
-		},
+		last[b.Instance[i]] = seq[len(seq)-1]
+		i = j
 	}
+	return true
 }
 
 // contentionStats aggregates the per-instance cross-thread summaries for the
@@ -303,6 +306,27 @@ func (d *DSspy) RunCollector(col trace.Collector, workload func(*trace.Session))
 	workload(s)
 	col.Close()
 	return d.AnalyzeCollector(s, col)
+}
+
+// AttachEvents gives an event-free report its retained-event view back, for
+// the chart and HTML renderers: AnalyzeCollector and StreamAnalyzer keep the
+// folded figures, not the events. events is the sequence-sorted stream the
+// report was computed from (e.g. the collector's Events); each instance's
+// events fill its Profile.Events in stream order. The profiles' stats stay
+// primed, so nothing is refolded. Meant for single-run reports: instance
+// ids of a merged fleet report are not unique.
+func (r *Report) AttachEvents(events []trace.Event) {
+	byID := make(map[trace.InstanceID]*profile.Profile, len(r.Instances))
+	for _, ir := range r.Instances {
+		p := ir.Profile
+		p.Events = make([]trace.Event, 0, p.Len())
+		byID[p.Instance.ID] = p
+	}
+	for _, e := range events {
+		if p := byID[e.Instance]; p != nil {
+			p.Events = append(p.Events, e)
+		}
+	}
 }
 
 // UseCases returns every detected use case across instances, in instance

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"dsspy/internal/dstruct"
+	"dsspy/internal/metrics"
 	"dsspy/internal/trace"
 )
 
@@ -97,15 +99,38 @@ func TestAnalyzeCollectorShardedMatchesFlat(t *testing.T) {
 	}
 }
 
+// stageNames lists the stage clocks of a report, in order.
+func stageNames(st *metrics.PipelineStats) []string {
+	var names []string
+	for _, stage := range st.Stages {
+		names = append(names, stage.Name)
+	}
+	return names
+}
+
 // TestReportStatsPopulated checks the observability surface: stage clocks,
 // worker count and collector queue statistics all arrive on Report.Stats.
+// Every listed stage is a phase that ran and was timed: AnalyzeCollector
+// orders, folds and finalizes the shard stores; Analyze builds profiles
+// first instead of ordering.
 func TestReportStatsPopulated(t *testing.T) {
-	rep := New().RunSharded(func(s *trace.Session) {
+	workload := func(s *trace.Session) {
 		l := dstruct.NewList[int](s)
 		for i := 0; i < 5000; i++ {
 			l.Add(i)
 		}
-	})
+	}
+	flat := New().Run(workload).Stats
+	if got, want := fmt.Sprint(stageNames(flat)), "[build-profiles fold finalize]"; got != want {
+		t.Fatalf("Analyze stages = %s, want %s", got, want)
+	}
+	for _, stage := range flat.Stages {
+		if stage.Count == 0 {
+			t.Fatalf("Analyze stage %s never observed", stage.Name)
+		}
+	}
+
+	rep := New().RunSharded(workload)
 	st := rep.Stats
 	if st == nil {
 		t.Fatal("Report.Stats is nil")
@@ -116,8 +141,8 @@ func TestReportStatsPopulated(t *testing.T) {
 	if st.Wall <= 0 {
 		t.Fatal("stats wall time not measured")
 	}
-	if len(st.Stages) != numStages {
-		t.Fatalf("stages = %d, want %d", len(st.Stages), numStages)
+	if got, want := fmt.Sprint(stageNames(st)), "[order fold finalize]"; got != want {
+		t.Fatalf("AnalyzeCollector stages = %s, want %s", got, want)
 	}
 	for _, stage := range st.Stages {
 		if stage.Count == 0 {

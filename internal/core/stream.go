@@ -20,9 +20,11 @@ import (
 // Streaming analysis: the per-instance reducers of profile, pattern and
 // usecase wired into the collector's drain path, so the full report is
 // computed during execution in O(instances) memory instead of post-mortem
-// over a retained O(events) trace. The final report is byte-identical to the
-// batch pipeline's because both sides run the same reducers — batch mode is a
-// driver over them, stream mode feeds them in place.
+// over a retained O(events) trace. The batch entry points (Analyze,
+// AnalyzeCollector) are feeds into the same instanceStream state, so every
+// entry point renders byte-identical reports: stream mode folds batches as
+// the collector drains them, batch mode folds retained profiles or the
+// collector's shard stores after the run.
 //
 // Ordering contract: a shard's drain goroutine delivers each producer
 // goroutine's events in program order, so per-thread figures are always
@@ -55,7 +57,12 @@ type instanceStream struct {
 	ct        profile.StreamContention
 	perThread map[trace.ThreadID]*pattern.StreamDetector
 	// global segments the interleaved per-instance stream with the
-	// configured options — what the batch regularity check summarizes.
+	// configured options — what the regularity check summarizes. It
+	// stays nil while one thread has touched the instance: the interleaved
+	// stream then is that thread's stream, so the sole per-thread detector
+	// stands in for global and single-thread instances segment once. The
+	// first event of a second thread forks global from the sole detector
+	// (detector), which at that moment has seen exactly the stream so far.
 	global *pattern.StreamDetector
 	// runSeg produces the default-options run stream for the use-case layer.
 	// It is nil when the configured segmentation already is default-options;
@@ -76,7 +83,6 @@ func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
 	st := &instanceStream{
 		id:        id,
 		perThread: make(map[trace.ThreadID]*pattern.StreamDetector, 1),
-		global:    pattern.NewStreamDetector(d.cfg.Pattern, false),
 		uc:        usecase.NewStream(d.cfg.Thresholds),
 	}
 	seg := d.cfg.Pattern.Segment
@@ -87,6 +93,58 @@ func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
 		st.runSeg = profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
 	}
 	return st
+}
+
+// sole returns the only per-thread detector (nil before the first event).
+// Meaningful while global is unforked.
+func (st *instanceStream) sole() *pattern.StreamDetector {
+	for _, det := range st.perThread {
+		return det
+	}
+	return nil
+}
+
+// detector returns tid's per-thread detector, creating it on first sight.
+// A second thread's first event forks global from the sole detector.
+func (st *instanceStream) detector(d *DSspy, tid trace.ThreadID) *pattern.StreamDetector {
+	det := st.perThread[tid]
+	if det == nil {
+		if st.global == nil && len(st.perThread) == 1 {
+			st.global = st.sole().Fork()
+		}
+		det = pattern.NewStreamDetector(d.cfg.Pattern, true)
+		st.perThread[tid] = det
+	}
+	return det
+}
+
+// threadRun folds a run closed by a per-thread detector. While global is
+// unforked the sole thread's runs are also the interleaved stream's runs.
+func (st *instanceStream) threadRun(r *profile.Run, t pattern.Type) {
+	if t != pattern.None {
+		st.uc.Pattern(t, r)
+	}
+	if st.global == nil && st.runSeg == nil {
+		st.uc.Run(r)
+	}
+}
+
+// globalRun folds a run closed by the forked global detector.
+func (st *instanceStream) globalRun(r *profile.Run, _ pattern.Type) {
+	if st.runSeg == nil {
+		st.uc.Run(r)
+	}
+}
+
+// globalSummary is the pattern summary of the interleaved stream.
+func (st *instanceStream) globalSummary() *pattern.Summary {
+	if st.global != nil {
+		return st.global.Summary()
+	}
+	if det := st.sole(); det != nil {
+		return det.Summary()
+	}
+	return &pattern.Summary{}
 }
 
 // feedBatch folds events [i, j) of a column batch — one instance's span —
@@ -108,28 +166,24 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 	st.ct.FoldBatch(b, i, j)
 	st.uc.FoldBatch(b, i, j)
 
+	// from is where global starts folding: the span start, or the event
+	// that forked it mid-span.
+	from := i
 	for k := i; k < j; {
 		e := b.ThreadRun(k, j)
-		det := st.perThread[b.Thread[k]]
-		if det == nil {
-			det = pattern.NewStreamDetector(d.cfg.Pattern, true)
-			st.perThread[b.Thread[k]] = det
+		forked := st.global != nil
+		det := st.detector(d, b.Thread[k])
+		if !forked && st.global != nil {
+			from = k
 		}
-		det.FeedBatch(b, k, e, func(c pattern.Closed) {
-			if c.Type != pattern.None {
-				st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
-			}
-		})
+		det.FeedBatch(b, k, e, st.threadRun)
 		k = e
 	}
-
-	st.global.FeedBatch(b, i, j, func(c pattern.Closed) {
-		if st.runSeg == nil {
-			st.uc.Run(c.Run)
-		}
-	})
+	if st.global != nil {
+		st.global.FeedBatch(b, from, j, st.globalRun)
+	}
 	if st.runSeg != nil {
-		st.runSeg.FeedBatch(b, i, j, func(r profile.Run) { st.uc.Run(r) })
+		st.runSeg.FeedBatch(b, i, j, st.uc.Run)
 	}
 
 	if sp := st.smp; sp != nil {
@@ -138,6 +192,25 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 		}
 		sp.tick(st, d)
 	}
+}
+
+// eventChunk is how many struct events feedEvents pivots onto columns at a
+// time; eventChunks recycles the column buffers across profiles.
+const eventChunk = 4096
+
+var eventChunks = sync.Pool{New: func() any { return new(trace.ColumnBatch) }}
+
+// feedEvents folds a retained profile's events, in order. They are pivoted
+// onto columns a chunk at a time and folded by feedBatch, the columnar fold
+// every other entry point takes.
+func (st *instanceStream) feedEvents(d *DSspy, events []trace.Event) {
+	b := eventChunks.Get().(*trace.ColumnBatch)
+	for lo := 0; lo < len(events); lo += eventChunk {
+		b.Reset()
+		b.AppendEvents(events[lo:min(lo+eventChunk, len(events))])
+		st.feedBatch(d, b, 0, b.Len())
+	}
+	eventChunks.Put(b)
 }
 
 // feed folds one event through every reducer.
@@ -152,21 +225,18 @@ func (st *instanceStream) feed(d *DSspy, e trace.Event) {
 	st.ct.Fold(e)
 	st.uc.Event(e)
 
-	det := st.perThread[e.Thread]
-	if det == nil {
-		det = pattern.NewStreamDetector(d.cfg.Pattern, true)
-		st.perThread[e.Thread] = det
+	det := st.detector(d, e.Thread)
+	if c, ok := det.Feed(e); ok {
+		st.threadRun(&c.Run, c.Type)
 	}
-	if c, ok := det.Feed(e); ok && c.Type != pattern.None {
-		st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
-	}
-
-	if c, ok := st.global.Feed(e); ok && st.runSeg == nil {
-		st.uc.Run(c.Run)
+	if st.global != nil {
+		if c, ok := st.global.Feed(e); ok {
+			st.globalRun(&c.Run, c.Type)
+		}
 	}
 	if st.runSeg != nil {
 		if r, ok := st.runSeg.Feed(e); ok {
-			st.uc.Run(r)
+			st.uc.Run(&r)
 		}
 	}
 
@@ -176,7 +246,9 @@ func (st *instanceStream) feed(d *DSspy, e trace.Event) {
 	}
 }
 
-// openRuns counts the runs currently held open across all segmenters.
+// openRuns counts the runs currently held open across all segmenters. An
+// unforked global counts as holding the sole detector's open run, so the
+// figure does not depend on whether the fork has happened.
 func (st *instanceStream) openRuns() int {
 	n := 0
 	for _, det := range st.perThread {
@@ -184,7 +256,11 @@ func (st *instanceStream) openRuns() int {
 			n++
 		}
 	}
-	if st.global.Open() {
+	if st.global != nil {
+		if st.global.Open() {
+			n++
+		}
+	} else if det := st.sole(); det != nil && det.Open() {
 		n++
 	}
 	if st.runSeg != nil && st.runSeg.Open() {
@@ -194,7 +270,7 @@ func (st *instanceStream) openRuns() int {
 }
 
 // clone returns an independent copy; Snapshot finalizes clones so the live
-// reducers keep folding.
+// reducers keep folding. An unforked global stays unforked in the clone.
 func (st *instanceStream) clone() *instanceStream {
 	out := &instanceStream{
 		id:        st.id,
@@ -204,12 +280,14 @@ func (st *instanceStream) clone() *instanceStream {
 		stats:     *st.stats.Clone(),
 		ct:        *st.ct.Clone(),
 		perThread: make(map[trace.ThreadID]*pattern.StreamDetector, len(st.perThread)),
-		global:    st.global.Clone(),
 		uc:        st.uc.Clone(),
 		agg:       st.agg,
 	}
 	for tid, det := range st.perThread {
 		out.perThread[tid] = det.Clone()
+	}
+	if st.global != nil {
+		out.global = st.global.Clone()
 	}
 	if st.runSeg != nil {
 		out.runSeg = st.runSeg.Clone()
@@ -221,8 +299,11 @@ func (st *instanceStream) clone() *instanceStream {
 }
 
 // finalize flushes the open runs and applies the detectors, producing the
-// same InstanceResult the batch pipeline computes for this instance.
-func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
+// instance's InstanceResult. With a retained profile (Analyze keeps the
+// events for charts) the result carries that profile, primed with the
+// folded figures; otherwise it gets an event-free stand-in named from the
+// session's registry.
+func (st *instanceStream) finalize(d *DSspy, s *trace.Session, retained *profile.Profile) *InstanceResult {
 	// Flush per-thread detectors in ascending thread-id order and merge their
 	// summaries — exactly SummarizeThreads' merge order.
 	tids := make([]trace.ThreadID, 0, len(st.perThread))
@@ -233,45 +314,52 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 	sum := &pattern.Summary{}
 	for _, tid := range tids {
 		det := st.perThread[tid]
-		if c, ok := det.Finish(); ok && c.Type != pattern.None {
-			st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
+		if c, ok := det.Finish(); ok {
+			st.threadRun(&c.Run, c.Type)
 		}
 		sum.Merge(det.Summary())
 	}
 
-	if c, ok := st.global.Finish(); ok && st.runSeg == nil {
-		st.uc.Run(c.Run)
+	if st.global != nil {
+		if c, ok := st.global.Finish(); ok {
+			st.globalRun(&c.Run, c.Type)
+		}
 	}
 	if st.runSeg != nil {
 		if r, ok := st.runSeg.Finish(); ok {
-			st.uc.Run(r)
+			st.uc.Run(&r)
 		}
 	}
 
 	stats := st.stats.Snapshot()
-	// Same contract as the batch side: the cross-thread summary exists only
-	// for instances more than one thread touched.
+	// The cross-thread summary exists only for instances more than one
+	// thread touched.
 	var ct *profile.Contention
 	if stats.Threads > 1 {
 		ct = st.ct.Snapshot()
 	}
-	var inst trace.Instance
-	ok := false
-	if s != nil {
-		inst, ok = s.Instance(st.id)
+	p := retained
+	if p != nil {
+		p.PrimeStats(stats)
+	} else {
+		var inst trace.Instance
+		ok := false
+		if s != nil {
+			inst, ok = s.Instance(st.id)
+		}
+		if !ok {
+			inst = trace.Instance{ID: st.id, TypeName: "<unregistered>"}
+		}
+		p = profile.NewStreamed(inst, st.n, stats)
 	}
-	if !ok {
-		inst = trace.Instance{ID: st.id, TypeName: "<unregistered>"}
-	}
-	p := profile.NewStreamed(inst, st.n, stats)
 	if ct != nil {
 		p.PrimeContention(ct)
 	}
 	res := &InstanceResult{
 		Profile:    p,
 		Summary:    sum,
-		UseCases:   st.uc.Finish(inst, stats, ct),
-		Regular:    pattern.RegularityFrom(st.global.Summary(), stats, d.cfg.Regularity),
+		UseCases:   st.uc.Finish(p.Instance, stats, ct),
+		Regular:    pattern.RegularityFrom(st.globalSummary(), stats, d.cfg.Regularity),
 		Shared:     profile.SharedAccessOf(p),
 		Contention: ct,
 	}
@@ -415,10 +503,12 @@ func (a *StreamAnalyzer) feedShardCols(shard int, b *trace.ColumnBatch, lo, hi i
 func (a *StreamAnalyzer) FeedColumns(b *trace.ColumnBatch) {
 	n := b.Len()
 	for i := 0; i < n; {
+		// Extend the span by whole instance runs while they hash to the
+		// same shard: one shard computation per run, not per event.
 		shard := int(b.Instance[i]) % len(a.shards)
-		j := i + 1
+		j := b.InstanceRun(i, n)
 		for j < n && int(b.Instance[j])%len(a.shards) == shard {
-			j++
+			j = b.InstanceRun(j, n)
 		}
 		a.feedShardCols(shard, b, i, j)
 		i = j
@@ -502,18 +592,24 @@ func (a *StreamAnalyzer) Close() *Report {
 			a.session.FlushHandles()
 		}
 		sp := a.d.cfg.Tracer.Begin("finalize", "stream")
-		var streams []*instanceStream
-		for _, sh := range a.shards {
-			sh.mu.Lock()
-			for _, st := range sh.byInst {
-				streams = append(streams, st)
-			}
-			sh.mu.Unlock()
-		}
+		streams := a.live()
 		a.final = a.buildReport(streams)
 		sp.End("instances", fmt.Sprint(len(streams)))
 	})
 	return a.final
+}
+
+// live returns the live instance streams of every shard.
+func (a *StreamAnalyzer) live() []*instanceStream {
+	var streams []*instanceStream
+	for _, sh := range a.shards {
+		sh.mu.Lock()
+		for _, st := range sh.byInst {
+			streams = append(streams, st)
+		}
+		sh.mu.Unlock()
+	}
+	return streams
 }
 
 // buildReport finalizes the given instance streams into a Report ordered by
@@ -531,7 +627,7 @@ func (a *StreamAnalyzer) buildReport(streams []*instanceStream) *Report {
 
 	results := make([]*InstanceResult, len(streams))
 	par.For(len(streams), a.d.workers(), func(i int) {
-		results[i] = streams[i].finalize(a.d, a.session)
+		results[i] = streams[i].finalize(a.d, a.session, nil)
 	})
 
 	var registered []trace.Instance

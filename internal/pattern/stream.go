@@ -56,26 +56,32 @@ func (d *StreamDetector) Feed(e trace.Event) (Closed, bool) {
 
 // FeedBatch folds events [i, j) of a column batch, invoking emit for every
 // closed run with its classification — the batch form of Feed, driven by the
-// segmenter's column walk.
-func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Closed)) {
-	d.seg.FeedBatch(b, i, j, func(r profile.Run) { emit(d.FoldRun(r)) })
+// segmenter's column walk. The run is lent by pointer, as the segmenter lends
+// it: valid only until emit returns.
+func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(*profile.Run, Type)) {
+	d.seg.FeedBatch(b, i, j, func(r *profile.Run) { emit(r, d.fold(r)) })
 }
 
 // FoldRun classifies one closed run and folds it into the summary. Exposed so
 // batch drivers can reuse an already-segmented run list.
 func (d *StreamDetector) FoldRun(r profile.Run) Closed {
-	c := Closed{Run: r}
+	return Closed{Run: r, Type: d.fold(&r)}
+}
+
+// fold classifies r, folds it into the summary and returns its type (None
+// when the run is below MinLen or matches no type).
+func (d *StreamDetector) fold(r *profile.Run) Type {
+	t := None
 	if r.Len() >= d.cfg.MinLen {
-		c.Type = Classify(r)
+		t = classify(r)
 	}
-	if c.Type != None {
-		pat := Pattern{Type: c.Type, Run: r}
-		d.sum.add(pat)
+	if t != None {
+		d.sum.add(t, r)
 		if d.keep {
-			d.sum.Patterns = append(d.sum.Patterns, pat)
+			d.sum.Patterns = append(d.sum.Patterns, Pattern{Type: t, Run: *r})
 		}
 	}
-	return c
+	return t
 }
 
 // Finish flushes the still-open run, if any, classifying and folding it. The
@@ -103,6 +109,17 @@ func (d *StreamDetector) Summary() *Summary {
 func (d *StreamDetector) Clone() *StreamDetector {
 	out := &StreamDetector{cfg: d.cfg, seg: d.seg.Clone(), sum: d.sum, keep: d.keep}
 	out.sum.Patterns = append([]Pattern(nil), d.sum.Patterns...)
+	return out
+}
+
+// Fork returns an independent copy that keeps aggregates only: the open run
+// and Summary counters carry over, the retained pattern list does not. A
+// detector that has seen a whole stream so far can thus hand its state to a
+// second consumer of the same stream without that consumer re-segmenting
+// the prefix.
+func (d *StreamDetector) Fork() *StreamDetector {
+	out := &StreamDetector{cfg: d.cfg, seg: d.seg.Clone(), sum: d.sum}
+	out.sum.Patterns = nil
 	return out
 }
 

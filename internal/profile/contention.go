@@ -165,45 +165,44 @@ func (c *StreamContention) Fold(e trace.Event) {
 }
 
 // FoldBatch folds events [i, j) of a column batch — Fold applied per element,
-// walking the Seq/Op/Thread columns (Index and Size never matter here).
+// walking the Seq/Op/Thread columns (Index and Size never matter here). A
+// batch arrives in same-thread runs: the first event of a run takes the full
+// fold (it may switch threads), the rest skip the thread dispatch and the
+// window lookup.
 func (c *StreamContention) FoldBatch(b *trace.ColumnBatch, i, j int) {
-	seqs := b.Seq[i:j]
-	ops := b.Op[i:j]
-	threads := b.Thread[i:j]
-	for k := range seqs {
-		c.fold(seqs[k], ops[k], threads[k])
+	for i < j {
+		e := b.ThreadRun(i, j)
+		thr := b.Thread[i]
+		c.fold(b.Seq[i], b.Op[i], thr)
+		win := c.window(thr)
+		seqs, ops := b.Seq[i+1:e], b.Op[i+1:e]
+		for k, op := range ops {
+			c.total++
+			w := op.IsWrite()
+			c.foldPhase(w)
+			c.sameThread(w)
+			c.prevWrite = w
+			if win != nil {
+				win.fold(seqs[k], op, w)
+			} else {
+				c.overflow++
+			}
+		}
+		i = e
 	}
 }
 
 func (c *StreamContention) fold(seq uint64, op trace.Op, thr trace.ThreadID) {
 	c.total++
 	w := op.IsWrite()
-
-	// Reader/writer phases.
-	switch {
-	case !c.phStarted:
-		c.phStarted, c.phWrite, c.phLen = true, w, 1
-	case w == c.phWrite:
-		c.phLen++
-	default:
-		c.closePhase()
-		c.phWrite, c.phLen = w, 1
-	}
+	c.foldPhase(w)
 
 	// Switches and episodes.
 	switch {
 	case !c.started:
 		c.started, c.prevThread, c.sameRun = true, thr, 1
 	case thr == c.prevThread:
-		c.sameRun++
-		if c.epOpen {
-			if c.sameRun >= episodeBreakRun {
-				c.closeEpisode()
-			} else {
-				c.epLen++
-				c.epWriter = c.epWriter || w
-			}
-		}
+		c.sameThread(w)
 	default:
 		c.switches++
 		if c.epOpen {
@@ -220,30 +219,61 @@ func (c *StreamContention) fold(seq uint64, op trace.Op, thr trace.ThreadID) {
 
 	// Happens-before sketch window.
 	if win := c.window(thr); win != nil {
-		if win.Events == 0 {
-			win.FirstSeq = seq
-		}
-		if seq < win.FirstSeq {
-			win.FirstSeq = seq
-		}
-		if seq > win.LastSeq {
-			win.LastSeq = seq
-		}
-		win.Events++
-		if op.IsRead() {
-			win.Reads++
-		}
-		if w {
-			win.Writes++
-		}
-		switch op {
-		case trace.OpInsert:
-			win.Inserts++
-		case trace.OpDelete:
-			win.Deletes++
-		}
+		win.fold(seq, op, w)
 	} else {
 		c.overflow++
+	}
+}
+
+// foldPhase extends the current reader/writer phase or starts the next.
+func (c *StreamContention) foldPhase(w bool) {
+	switch {
+	case !c.phStarted:
+		c.phStarted, c.phWrite, c.phLen = true, w, 1
+	case w == c.phWrite:
+		c.phLen++
+	default:
+		c.closePhase()
+		c.phWrite, c.phLen = w, 1
+	}
+}
+
+// sameThread folds an event of the thread that issued the previous one.
+func (c *StreamContention) sameThread(w bool) {
+	c.sameRun++
+	if c.epOpen {
+		if c.sameRun >= episodeBreakRun {
+			c.closeEpisode()
+		} else {
+			c.epLen++
+			c.epWriter = c.epWriter || w
+		}
+	}
+}
+
+// fold adds one event of the window's thread.
+func (win *ThreadWindow) fold(seq uint64, op trace.Op, w bool) {
+	if win.Events == 0 {
+		win.FirstSeq = seq
+	}
+	if seq < win.FirstSeq {
+		win.FirstSeq = seq
+	}
+	if seq > win.LastSeq {
+		win.LastSeq = seq
+	}
+	win.Events++
+	if op.IsRead() {
+		win.Reads++
+	}
+	if w {
+		win.Writes++
+	}
+	switch op {
+	case trace.OpInsert:
+		win.Inserts++
+	case trace.OpDelete:
+		win.Deletes++
 	}
 }
 

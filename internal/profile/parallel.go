@@ -1,12 +1,12 @@
-// Shard-local profile construction. Build sorts the whole flat stream and
+// Parallel profile construction. Build sorts the whole flat stream and
 // groups it sequentially, which is the right shape for small post-mortem
-// traces but becomes the pipeline's bottleneck on million-event runs: the
-// global sort.Slice is O(E log E) with a reflection-heavy constant, and the
-// copy doubles peak memory. The sharded builders below group events
-// shard-locally (one worker per shard), concatenate per instance, and only
-// sort an instance's events when they are actually out of order — on
-// single-producer instances the arrival order already is the sequence order,
-// so the sort is skipped after one O(n) check.
+// traces but becomes the bottleneck on million-event runs: the global
+// sort.Slice is O(E log E) with a reflection-heavy constant, and the copy
+// doubles peak memory. BuildParallel instead groups contiguous chunks of the
+// stream concurrently, concatenates per instance, and only sorts an
+// instance's events when they are actually out of order — on
+// single-producer instances the arrival order already is the sequence
+// order, so the sort is skipped after one O(n) check.
 package profile
 
 import (
@@ -21,10 +21,10 @@ import (
 // saves on small traces.
 const parallelBuildThreshold = 1 << 14
 
-// BuildParallel is Build with a bounded worker pool: the flat stream is
-// split into contiguous chunks (pseudo-shards) grouped concurrently. The
-// result is identical to Build — per-instance events in sequence order,
-// profiles ordered by instance id — regardless of the worker count.
+// BuildParallel is Build with a bounded worker pool. The result is identical
+// to Build — per-instance events in sequence order, profiles ordered by
+// instance id — regardless of the worker count. The events are only read,
+// never reordered.
 func BuildParallel(s *trace.Session, events []trace.Event, workers int) []*Profile {
 	if workers <= 0 {
 		workers = par.DefaultParallelism()
@@ -32,47 +32,27 @@ func BuildParallel(s *trace.Session, events []trace.Event, workers int) []*Profi
 	if workers == 1 || len(events) < parallelBuildThreshold {
 		return Build(s, events)
 	}
-	chunks := make([][]trace.Event, 0, workers)
+
+	// Stage 1: chunk-local grouping, one grouper per contiguous chunk so
+	// workers share nothing. Two passes per chunk: count events per
+	// instance, then carve exact-size buckets out of one backing array. That
+	// replaces append regrowth (which re-copies every event roughly twice on
+	// million-event chunks) with a single copy, and the slot cache skips the
+	// map lookup while consecutive events hit the same instance — the common
+	// case, since access events arrive in per-instance runs.
 	size := (len(events) + workers - 1) / workers
-	for lo := 0; lo < len(events); lo += size {
-		hi := lo + size
-		if hi > len(events) {
-			hi = len(events)
-		}
-		chunks = append(chunks, events[lo:hi])
-	}
-	return BuildShards(s, chunks, workers)
-}
-
-// BuildShards builds profiles from per-shard event slices, the shape a
-// ShardedCollector hands back: grouping runs shard-locally on one worker per
-// shard, per-instance slices are concatenated in shard order and sorted by
-// sequence number only when needed. When every event of an instance lives in
-// one shard (the collector's partitioning guarantee) no cross-shard merge
-// happens at all. The shard slices are only read, never modified.
-func BuildShards(s *trace.Session, shards [][]trace.Event, workers int) []*Profile {
-	if workers <= 0 {
-		workers = par.DefaultParallelism()
-	}
-
-	// Stage 1: shard-local grouping, one grouper per shard so workers share
-	// nothing. Two passes per shard: count events per instance, then carve
-	// exact-size buckets out of one backing array. That replaces append
-	// regrowth (which re-copies every event roughly twice on million-event
-	// shards) with a single copy, and the slot cache skips the map lookup
-	// while consecutive events hit the same instance — the common case, since
-	// access events arrive in per-instance runs.
-	groups := make([]shardGroup, len(shards))
-	par.For(len(shards), workers, func(i int) {
-		groups[i] = groupShard(shards[i])
+	groups := make([]chunkGroup, (len(events)+size-1)/size)
+	par.For(len(groups), workers, func(i int) {
+		lo := i * size
+		groups[i] = groupChunk(events[lo:min(lo+size, len(events))])
 	})
 
-	// Stage 2: merge per instance, concatenating in shard index order so the
+	// Stage 2: merge per instance, concatenating in chunk order so the
 	// result is deterministic before the final per-instance ordering pass.
-	// An instance seen in only one shard (the collector's partitioning
-	// guarantee) adopts the stage-1 bucket without copying, and carries the
-	// fill pass's sortedness verdict along; a concatenation stays sorted when
-	// both halves are and the seam is in order.
+	// An instance seen in only one chunk adopts the stage-1 bucket without
+	// copying, and carries the fill pass's sortedness verdict along; a
+	// concatenation stays sorted when both halves are and the seam is in
+	// order.
 	byInstance := make(map[trace.InstanceID]instanceEvents)
 	for _, g := range groups {
 		for k, id := range g.ids {
@@ -119,21 +99,21 @@ type instanceEvents struct {
 	sorted bool
 }
 
-// shardGroup is the stage-1 output for one shard: instance ids in first-seen
+// chunkGroup is the stage-1 output for one chunk: instance ids in first-seen
 // order and one event bucket per id, all buckets carved from one backing
 // array. sorted[k] records whether bucket k came out of the fill pass already
 // in sequence order — known for free while filling, and it spares stage 3 a
 // full re-scan for adopted buckets.
-type shardGroup struct {
+type chunkGroup struct {
 	ids     []trace.InstanceID
 	buckets [][]trace.Event
 	sorted  []bool
 }
 
-// groupShard splits one shard's events by instance with exact allocation.
-func groupShard(events []trace.Event) shardGroup {
+// groupChunk splits one chunk's events by instance with exact allocation.
+func groupChunk(events []trace.Event) chunkGroup {
 	if len(events) == 0 {
-		return shardGroup{}
+		return chunkGroup{}
 	}
 	slot := make(map[trace.InstanceID]int)
 	var ids []trace.InstanceID
@@ -183,5 +163,5 @@ func groupShard(events []trace.Event) shardGroup {
 		backing[offs[k]+fill[k]] = e
 		fill[k]++
 	}
-	return shardGroup{ids: ids, buckets: buckets, sorted: sorted}
+	return chunkGroup{ids: ids, buckets: buckets, sorted: sorted}
 }

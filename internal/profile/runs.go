@@ -70,11 +70,11 @@ type Run struct {
 }
 
 // Len returns the number of events in the run.
-func (r Run) Len() int { return r.End - r.Start + 1 }
+func (r *Run) Len() int { return r.End - r.Start + 1 }
 
 // Coverage returns the fraction of the structure the run touched: distinct
 // position span divided by the largest size seen during the run.
-func (r Run) Coverage() float64 {
+func (r *Run) Coverage() float64 {
 	if r.MaxSeenSize <= 0 || r.FirstIndex < 0 {
 		return 0
 	}

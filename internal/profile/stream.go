@@ -78,18 +78,39 @@ func (ss *StreamStats) Fold(e trace.Event) {
 // the columnar drain or a v3 replay never inflates to Event structs. The
 // fuzz differential (FuzzColumnarFoldDifferential) holds the two forms equal.
 func (ss *StreamStats) FoldBatch(b *trace.ColumnBatch, i, j int) {
+	if i >= j {
+		return
+	}
+	if ss.st.Total == 0 {
+		ss.st.MaxIndex = -1
+	}
+	ss.st.Total += j - i
+	// Thread sets change per thread run, not per event.
+	for i < j {
+		e := b.ThreadRun(i, j)
+		thr := b.Thread[i]
+		wrote, read := ss.foldOps(b, i, e)
+		ss.threads.add(thr)
+		if wrote {
+			ss.writers.add(thr)
+		}
+		if read {
+			ss.readers.add(thr)
+		}
+		i = e
+	}
+}
+
+// foldOps folds the per-event figures of events [i, j) and reports whether
+// any of them was write-like, and whether any was not.
+func (ss *StreamStats) foldOps(b *trace.ColumnBatch, i, j int) (wrote, read bool) {
 	st := &ss.st
 	seqs := b.Seq[i:j]
 	ops := b.Op[i:j]
-	threads := b.Thread[i:j]
 	idxs := b.Index[i:j]
 	sizes := b.Size[i:j]
-	for k := range seqs {
-		if st.Total == 0 {
-			st.MaxIndex = -1
-		}
-		op, idx, size := ops[k], idxs[k], sizes[k]
-		st.Total++
+	for k, op := range ops {
+		idx, size := idxs[k], sizes[k]
 		if int(op) < len(st.ByOp) {
 			st.ByOp[op]++
 		}
@@ -98,9 +119,9 @@ func (ss *StreamStats) FoldBatch(b *trace.ColumnBatch, i, j int) {
 		}
 		if op.IsWrite() {
 			st.WriteLike++
-			ss.writers.add(threads[k])
+			wrote = true
 		} else {
-			ss.readers.add(threads[k])
+			read = true
 		}
 		if size > st.MaxSize {
 			st.MaxSize = size
@@ -109,7 +130,6 @@ func (ss *StreamStats) FoldBatch(b *trace.ColumnBatch, i, j int) {
 			ss.lastSeq = s
 			st.FinalSize = size
 		}
-		ss.threads.add(threads[k])
 		if idx >= 0 {
 			st.IndexedOps++
 			if idx > st.MaxIndex {
@@ -127,6 +147,7 @@ func (ss *StreamStats) FoldBatch(b *trace.ColumnBatch, i, j int) {
 			}
 		}
 	}
+	return wrote, read
 }
 
 // Events returns the number of events folded so far.
@@ -197,25 +218,26 @@ func (g *StreamSegmenter) Feed(e trace.Event) (closed Run, ok bool) {
 // run a fold closes. It is the native columnar form of Feed: the state
 // machine only ever reads the previous event's index, so the loop walks the
 // Op/Index/Size columns with a scalar prev instead of gathering and copying
-// 48-byte Event structs per fold. The fuzz differential
-// (FuzzColumnarFoldDifferential) holds the two forms equal.
-func (g *StreamSegmenter) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Run)) {
+// 48-byte Event structs per fold. The closed run is handed over by pointer
+// into the segmenter's own state, valid only until emit returns — copy it to
+// keep it. The fuzz differential (FuzzColumnarFoldDifferential) holds the
+// two forms equal.
+func (g *StreamSegmenter) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(*Run)) {
 	if i >= j {
 		return
 	}
-	ops, idxs, sizes := b.Op, b.Index, b.Size
+	ops, idxs, sizes := b.Op[i:j], b.Index[i:j], b.Size[i:j]
 	r := &g.run
 	prevIdx := g.prev.Index
-	for k := i; k < j; k++ {
-		op, idx, size := ops[k], idxs[k], sizes[k]
-		if g.open && extendsCols(r, g.opts, prevIdx, op, idx, size) {
-			absorbCols(r, prevIdx, idx, size)
+	for k, op := range ops {
+		idx, size := idxs[k], sizes[k]
+		if g.open && extendCols(r, g.opts, prevIdx, op, idx, size) {
 			r.End = g.next
 		} else {
 			if g.open {
-				emit(*r)
+				emit(r)
 			}
-			*r = startRunColsAt(op, idx, size, g.next)
+			startRunCols(r, op, idx, size, g.next)
 			g.open = true
 		}
 		prevIdx = idx
@@ -233,85 +255,75 @@ func isBackCols(op trace.Op, idx, size int) bool {
 	return size > 0 && idx >= size-1
 }
 
-// startRunColsAt is startRunAt over scalars.
-func startRunColsAt(op trace.Op, idx, size, i int) Run {
-	r := Run{
-		Op:          op,
-		Start:       i,
-		End:         i,
-		FirstIndex:  idx,
-		LastIndex:   idx,
-		MinIndex:    idx,
-		MaxIndex:    idx,
-		MaxSeenSize: size,
-	}
-	if idx >= 0 {
-		r.AllFront = idx == 0
-		r.AllBack = isBackCols(op, idx, size)
-		r.StrictlyUp = true
-		r.StrictlyDown = true
-	}
-	return r
+// startRunCols is startRunAt over scalars, writing the new run in place:
+// field by field, so no run-sized temporary is built and copied per run.
+func startRunCols(r *Run, op trace.Op, idx, size, i int) {
+	r.Op = op
+	r.Start, r.End = i, i
+	r.Direction = DirNone
+	r.FirstIndex, r.LastIndex, r.MinIndex, r.MaxIndex = idx, idx, idx, idx
+	r.MaxSeenSize = size
+	indexed := idx >= 0
+	r.AllFront = indexed && idx == 0
+	r.AllBack = indexed && isBackCols(op, idx, size)
+	r.StrictlyUp, r.StrictlyDown = indexed, indexed
 }
 
-// extendsCols is extendsRun over scalars (prev contributes only its index).
-func extendsCols(r *Run, opts SegmentOptions, prevIdx int, op trace.Op, idx, size int) bool {
+// extendCols is extendsRun and, when the event continues the run,
+// absorbRun, over scalars (prev contributes only its index): one call per
+// folded event. It reports whether the event joined the run.
+func extendCols(r *Run, opts SegmentOptions, prevIdx int, op trace.Op, idx, size int) bool {
 	if op != r.Op {
 		return false
 	}
 	if idx < 0 || prevIdx < 0 {
-		return idx < 0 && prevIdx < 0
+		// Whole-structure operations merge unconditionally.
+		if idx >= 0 || prevIdx >= 0 {
+			return false
+		}
+		r.MaxSeenSize = max(r.MaxSeenSize, size)
+		return true
 	}
 	if op == trace.OpInsert || op == trace.OpDelete {
-		return (r.AllFront && idx == 0) ||
-			(r.AllBack && isBackCols(op, idx, size)) ||
-			(r.StrictlyUp && idx == prevIdx+1) ||
-			(r.StrictlyDown && idx == prevIdx-1)
-	}
-	dir := stepDirection(idx-prevIdx, opts)
-	if dir == DirNone {
-		return false
-	}
-	switch r.Direction {
-	case DirNone:
-		return true // second event fixes the direction
-	case DirStationary:
-		return dir == DirStationary
-	default:
-		return dir == r.Direction || (dir == DirStationary && opts.AllowRepeat)
-	}
-}
-
-// absorbCols is absorbRun over scalars.
-func absorbCols(r *Run, prevIdx, idx, size int) {
-	if idx >= 0 {
-		if r.Direction == DirNone && prevIdx >= 0 {
-			switch {
-			case idx > prevIdx:
-				r.Direction = DirForward
-			case idx < prevIdx:
-				r.Direction = DirBackward
-			default:
-				r.Direction = DirStationary
+		if !(r.AllFront && idx == 0) &&
+			!(r.AllBack && isBackCols(op, idx, size)) &&
+			!(r.StrictlyUp && idx == prevIdx+1) &&
+			!(r.StrictlyDown && idx == prevIdx-1) {
+			return false
+		}
+	} else {
+		switch dir := stepDirection(idx-prevIdx, opts); {
+		case dir == DirNone:
+			return false
+		case r.Direction == DirNone:
+			// The second event fixes the direction.
+		case r.Direction == DirStationary:
+			if dir != DirStationary {
+				return false
 			}
-		}
-		r.LastIndex = idx
-		if idx < r.MinIndex {
-			r.MinIndex = idx
-		}
-		if idx > r.MaxIndex {
-			r.MaxIndex = idx
-		}
-		r.AllFront = r.AllFront && idx == 0
-		r.AllBack = r.AllBack && isBackCols(r.Op, idx, size)
-		if prevIdx >= 0 {
-			r.StrictlyUp = r.StrictlyUp && idx == prevIdx+1
-			r.StrictlyDown = r.StrictlyDown && idx == prevIdx-1
+		case dir != r.Direction && !(dir == DirStationary && opts.AllowRepeat):
+			return false
 		}
 	}
-	if size > r.MaxSeenSize {
-		r.MaxSeenSize = size
+	if r.Direction == DirNone {
+		switch {
+		case idx > prevIdx:
+			r.Direction = DirForward
+		case idx < prevIdx:
+			r.Direction = DirBackward
+		default:
+			r.Direction = DirStationary
+		}
 	}
+	r.LastIndex = idx
+	r.MinIndex = min(r.MinIndex, idx)
+	r.MaxIndex = max(r.MaxIndex, idx)
+	r.AllFront = r.AllFront && idx == 0
+	r.AllBack = r.AllBack && isBackCols(op, idx, size)
+	r.StrictlyUp = r.StrictlyUp && idx == prevIdx+1
+	r.StrictlyDown = r.StrictlyDown && idx == prevIdx-1
+	r.MaxSeenSize = max(r.MaxSeenSize, size)
+	return true
 }
 
 // Finish closes and returns the open run, if any. The segmenter is reset and

@@ -20,8 +20,11 @@ import (
 
 // foldSeedLogBytes builds a genuine v3 session log with enough structural
 // variety (several instances, threads, op mix, index patterns) that the
-// mutator starts from realistic column shapes.
-func foldSeedLogBytes(tb testing.TB) []byte {
+// mutator starts from realistic column shapes. Each thread issues threadRun
+// consecutive events before the next takes over; with runs longer than one
+// event, each run is reads closed by one write, so whether a contention
+// episode has a writer hinges on the previous thread's last event.
+func foldSeedLogBytes(tb testing.TB, threadRun int) []byte {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "foldseed.dslog")
 	s := trace.NewSession()
@@ -34,13 +37,20 @@ func foldSeedLogBytes(tb testing.TB) []byte {
 		if i%7 == 0 {
 			idx = trace.NoIndex
 		}
+		op := trace.Op(1 + i%8)
+		if threadRun > 1 {
+			op = trace.OpRead
+			if i%threadRun == threadRun-1 {
+				op = trace.OpWrite
+			}
+		}
 		events[i] = trace.Event{
 			Seq:      uint64(i + 1),
 			Instance: trace.InstanceID(i%3 + 1),
-			Op:       trace.Op(1 + i%8),
+			Op:       op,
 			Index:    idx,
 			Size:     i % 29,
-			Thread:   trace.ThreadID(i % 4),
+			Thread:   trace.ThreadID(i / threadRun % 4),
 		}
 	}
 	if err := trace.SaveSessionLog(path, s, events); err != nil {
@@ -60,7 +70,10 @@ func foldSeedLogBytes(tb testing.TB) []byte {
 // report-level differential suite checks this for the 39 corpus workloads;
 // the fuzzer checks it for adversarial column shapes.
 func FuzzColumnarFoldDifferential(f *testing.F) {
-	f.Add(foldSeedLogBytes(f))
+	// Threads alternating per event, and in runs longer than a contention
+	// episode (16 events), so same-thread runs close episodes.
+	f.Add(foldSeedLogBytes(f, 1))
+	f.Add(foldSeedLogBytes(f, 23))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, err := trace.NewStreamReader(bytes.NewReader(data))
 		if err != nil {
@@ -97,11 +110,21 @@ func FuzzColumnarFoldDifferential(f *testing.F) {
 			t.Fatalf("StreamStats diverged:\n batch: %+v\n event: %+v", ssCol.Snapshot(), ssEv.Snapshot())
 		}
 
+		// profile.StreamContention: column fold vs per-event fold.
+		var ctCol, ctEv profile.StreamContention
+		ctCol.FoldBatch(&cb, 0, n)
+		for _, e := range events {
+			ctEv.Fold(e)
+		}
+		if !reflect.DeepEqual(ctCol.Snapshot(), ctEv.Snapshot()) {
+			t.Fatalf("StreamContention diverged:\n batch: %+v\n event: %+v", ctCol.Snapshot(), ctEv.Snapshot())
+		}
+
 		// profile.StreamSegmenter: closed runs must match in order and value.
 		segCol := profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
 		segEv := profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
 		var runsCol, runsEv []profile.Run
-		segCol.FeedBatch(&cb, 0, n, func(r profile.Run) { runsCol = append(runsCol, r) })
+		segCol.FeedBatch(&cb, 0, n, func(r *profile.Run) { runsCol = append(runsCol, *r) })
 		for _, e := range events {
 			if r, ok := segEv.Feed(e); ok {
 				runsEv = append(runsEv, r)
@@ -121,7 +144,9 @@ func FuzzColumnarFoldDifferential(f *testing.F) {
 		detCol := pattern.NewStreamDetector(pattern.DefaultConfig(), true)
 		detEv := pattern.NewStreamDetector(pattern.DefaultConfig(), true)
 		var closedCol, closedEv []pattern.Closed
-		detCol.FeedBatch(&cb, 0, n, func(c pattern.Closed) { closedCol = append(closedCol, c) })
+		detCol.FeedBatch(&cb, 0, n, func(r *profile.Run, t pattern.Type) {
+			closedCol = append(closedCol, pattern.Closed{Run: *r, Type: t})
+		})
 		for _, e := range events {
 			if c, ok := detEv.Feed(e); ok {
 				closedEv = append(closedEv, c)

@@ -99,13 +99,15 @@ func (b *ColumnBatch) Append(e Event) {
 // point where array-of-structs traffic becomes columnar.
 func (b *ColumnBatch) AppendEvents(events []Event) {
 	b.Grow(len(events))
-	for _, e := range events {
-		b.Seq = append(b.Seq, e.Seq)
-		b.Instance = append(b.Instance, e.Instance)
-		b.Op = append(b.Op, e.Op)
-		b.Thread = append(b.Thread, e.Thread)
-		b.Index = append(b.Index, e.Index)
-		b.Size = append(b.Size, e.Size)
+	lo, hi := b.Len(), b.Len()+len(events)
+	b.Seq, b.Instance, b.Op = b.Seq[:hi], b.Instance[:hi], b.Op[:hi]
+	b.Thread, b.Index, b.Size = b.Thread[:hi], b.Index[:hi], b.Size[:hi]
+	seq, inst, op := b.Seq[lo:hi], b.Instance[lo:hi], b.Op[lo:hi]
+	thr, idx, size := b.Thread[lo:hi], b.Index[lo:hi], b.Size[lo:hi]
+	for k := range events {
+		e := &events[k]
+		seq[k], inst[k], op[k] = e.Seq, e.Instance, e.Op
+		thr[k], idx[k], size[k] = e.Thread, e.Index, e.Size
 	}
 }
 

@@ -396,6 +396,9 @@ type CollectorServer struct {
 	active    int
 	completed int
 	closed    bool
+	// cutting is set once Abort or Drain tears down the open connections;
+	// a connection accepted after that is closed instead of served.
+	cutting bool
 
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -502,6 +505,14 @@ func (cs *CollectorServer) acceptLoop() {
 		delay = 0
 
 		cs.mu.Lock()
+		if cs.cutting {
+			// Abort or Drain's cut began between Accept and here: the
+			// connection missed their snapshot of open connections, and
+			// serving it would leave a stream nobody tears down.
+			cs.mu.Unlock()
+			conn.Close()
+			return
+		}
 		if cs.opts.MaxConns > 0 && cs.active >= cs.opts.MaxConns {
 			cs.rejected++
 			cs.mu.Unlock()
@@ -775,6 +786,7 @@ func (cs *CollectorServer) shutdown(kill bool) error {
 	cs.mu.Lock()
 	alreadyClosed := cs.closed
 	cs.closed = true
+	cs.cutting = cs.cutting || kill
 	var open []net.Conn
 	if kill {
 		open = make([]net.Conn, 0, len(cs.open))
@@ -827,6 +839,7 @@ func (cs *CollectorServer) Drain(timeout time.Duration) (cut int, err error) {
 	}
 
 	cs.mu.Lock()
+	cs.cutting = true
 	open := make([]net.Conn, 0, len(cs.open))
 	for conn := range cs.open {
 		open = append(open, conn)

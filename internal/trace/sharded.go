@@ -18,8 +18,8 @@ import (
 // instances never contend on a shared channel, which removes the
 // single-channel bottleneck AsyncCollector has under multi-goroutine
 // workloads; all events of one instance land in exactly one shard, so the
-// analysis side can build profiles shard-locally without a global merge
-// (core.AnalyzeCollector consumes ShardEvents in place).
+// analysis side can fold each shard's columnar store in place without a
+// global merge (core.AnalyzeCollector consumes ShardColumns).
 //
 // Producers call Record; Close flushes every shard and stops the drain
 // goroutines. Events merges the shards back into one Seq-ordered stream for
@@ -414,7 +414,7 @@ func NewShardedCollectorOpts(n, buf int, policy OverloadPolicy) *ShardedCollecto
 // event batches to sink (may be nil). retain controls whether events are also
 // kept in the per-shard stores for post-mortem access; a streaming consumer
 // passes retain=false so memory stays bounded by its own reducer state. With
-// retain=false, Events/ShardEvents return nothing — the sink is the only
+// retain=false, Events/ShardColumns hold nothing — the sink is the only
 // destination — while the Stats accounting is unchanged.
 func NewStreamingShardedCollector(n, buf int, policy OverloadPolicy, retain bool, sink ShardSink) *ShardedCollector {
 	if n <= 0 {
@@ -616,9 +616,10 @@ func (c *ShardedCollector) MergedColumns() *ColumnBatch {
 }
 
 // ShardColumns returns the per-shard columnar stores without copying. Only
-// valid after Close (nil before); the batches are read-only. Because events
-// are partitioned by instance, analysis can fold these shard-locally without
-// a global merge.
+// valid after Close (nil before). Because events are partitioned by
+// instance, analysis can fold these shard-locally without a global merge.
+// The stores are read-only except for sorting one by Seq in place, which
+// the collector's own merge does too.
 func (c *ShardedCollector) ShardColumns() []*ColumnBatch {
 	if !c.closed.Load() {
 		return nil
@@ -626,23 +627,6 @@ func (c *ShardedCollector) ShardColumns() []*ColumnBatch {
 	out := make([]*ColumnBatch, len(c.shards))
 	for i, sh := range c.shards {
 		out[i] = &sh.cols
-	}
-	return out
-}
-
-// ShardEvents returns the per-shard stores inflated to []Event slices. Only
-// valid after Close (nil before). The canonical store is columnar, so each
-// call materializes fresh copies; the batch analysis path still consumes
-// this shard-local form to build profiles without a global merge.
-func (c *ShardedCollector) ShardEvents() [][]Event {
-	if !c.closed.Load() {
-		return nil
-	}
-	out := make([][]Event, len(c.shards))
-	for i, sh := range c.shards {
-		if n := sh.cols.Len(); n > 0 {
-			out[i] = sh.cols.Events(make([]Event, 0, n))
-		}
 	}
 	return out
 }

@@ -17,20 +17,20 @@ func TestShardedCollectorPartitionsByInstance(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Record(Event{Seq: uint64(i + 1), Instance: InstanceID(i % 7), Op: OpRead})
 	}
-	if got := c.ShardEvents(); got != nil {
-		t.Fatalf("ShardEvents before Close = %v, want nil", got)
+	if got := c.ShardColumns(); got != nil {
+		t.Fatalf("ShardColumns before Close = %v, want nil", got)
 	}
 	c.Close()
-	per := c.ShardEvents()
+	per := c.ShardColumns()
 	if len(per) != shards {
-		t.Fatalf("ShardEvents returned %d shards, want %d", len(per), shards)
+		t.Fatalf("ShardColumns returned %d shards, want %d", len(per), shards)
 	}
 	total := 0
-	for si, evs := range per {
-		total += len(evs)
-		for _, e := range evs {
-			if int(e.Instance)%shards != si {
-				t.Fatalf("instance %d landed in shard %d", e.Instance, si)
+	for si, cols := range per {
+		total += cols.Len()
+		for _, id := range cols.Instance {
+			if int(id)%shards != si {
+				t.Fatalf("instance %d landed in shard %d", id, si)
 			}
 		}
 	}

@@ -115,21 +115,16 @@ func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
 	ops := b.Op[i:j]
 	idxs := b.Index[i:j]
 	sizes := b.Size[i:j]
-	for k := range ops {
+	for k, op := range ops {
 		idx := idxs[k]
 		if idx < 0 {
 			continue
 		}
-		op, size := ops[k], sizes[k]
+		size := sizes[k]
 		front := idx == 0
-		var back bool
-		if op == trace.OpDelete {
-			back = idx >= size
-		} else {
-			back = size > 0 && idx >= size-1
-		}
 		switch op {
 		case trace.OpInsert:
+			back := size > 0 && idx >= size-1
 			if front {
 				u.iqInsFront++
 			} else if back {
@@ -144,6 +139,7 @@ func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
 				u.siInsBack++
 			}
 		case trace.OpDelete:
+			back := idx >= size
 			if front {
 				u.iqOutFront++
 			} else if back {
@@ -160,7 +156,7 @@ func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
 		case trace.OpRead:
 			if front {
 				u.iqOutFront++
-			} else if back {
+			} else if size > 0 && idx >= size-1 {
 				u.iqOutBack++
 			}
 		}
@@ -169,8 +165,8 @@ func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
 
 // Run folds one closed run of the instance's global (default-options)
 // segmentation, in stream order — Sort-After-Insert needs run adjacency and
-// Write-Without-Read needs the terminal run.
-func (u *Stream) Run(r profile.Run) {
+// Write-Without-Read needs the terminal run. The run is only read.
+func (u *Stream) Run(r *profile.Run) {
 	if r.Op == trace.OpInsert {
 		u.saiInsertEvents += r.Len()
 	}
@@ -187,11 +183,12 @@ func (u *Stream) Run(r profile.Run) {
 	}
 }
 
-// Pattern folds one detected pattern (from the per-thread summaries, any
-// order; the aggregates are sums and maxes).
-func (u *Stream) Pattern(pat pattern.Pattern) {
-	n := pat.Len()
-	switch pat.Type {
+// Pattern folds one detected pattern — run r classified as t — from the
+// per-thread summaries, in any order (the aggregates are sums and maxes).
+// The run is only read.
+func (u *Stream) Pattern(t pattern.Type, r *profile.Run) {
+	n := r.Len()
+	switch t {
 	case pattern.InsertFront, pattern.InsertBack:
 		u.liInsEvents += n
 		if n > u.liInsLongest {
@@ -204,7 +201,7 @@ func (u *Stream) Pattern(pat pattern.Pattern) {
 		}
 	case pattern.ReadForward, pattern.ReadBackward:
 		u.fsDirReadEvents += n
-		if pat.Coverage() >= u.th.FLRMinCoverage {
+		if r.Coverage() >= u.th.FLRMinCoverage {
 			u.flrLongReads++
 		}
 	}

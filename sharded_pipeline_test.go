@@ -3,6 +3,7 @@ package dsspy_test
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -156,5 +157,41 @@ func TestCorpusAppsWorkerInvariance(t *testing.T) {
 				t.Fatalf("%s: Workers=8 report differs from Workers=1", app.Name)
 			}
 		})
+	}
+}
+
+// TestAnalyzeCollectorAllocGuard bounds the allocations of the post-mortem
+// analysis on the largest Table IV trace (CPU Benchmarks: ~474K events, one
+// instance of ~441K). AnalyzeCollector folds the collector's column stores
+// in place — no []Event inflation, no per-instance regrouping, no run slice —
+// so it allocates per instance and per detected pattern, not per event.
+func TestAnalyzeCollectorAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation behaviour")
+	}
+	app := apps.ByName("CPU Benchmarks")
+	col := trace.NewShardedCollectorOpts(0, trace.DefaultAsyncBuffer, trace.Block())
+	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
+	p := s.BindDefault()
+	app.Instrumented(s)
+	p.Close()
+	col.Close()
+	events := col.Len()
+	if events < 400_000 {
+		t.Fatalf("CPU Benchmarks recorded %d events, want the full-size trace", events)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep := core.New().AnalyzeCollector(s, col)
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(events)
+	t.Logf("AnalyzeCollector: %d events, %.1f B/event", events, perEvent)
+	if rep.Stats.Events != events {
+		t.Fatalf("report folded %d events, collector holds %d", rep.Stats.Events, events)
+	}
+	if perEvent >= 16 {
+		t.Fatalf("AnalyzeCollector allocated %.1f B/event, want < 16", perEvent)
 	}
 }
