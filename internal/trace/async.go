@@ -54,9 +54,10 @@ func (c *AsyncCollector) Record(e Event) {
 }
 
 // RecordBatch enqueues a whole producer batch as one channel send on the
-// single shard's batch lane; semantics otherwise match Record.
+// single shard's batch lane — the one-shard case of
+// ShardedCollector.RecordBatch; semantics otherwise match Record.
 func (c *AsyncCollector) RecordBatch(batch []Event) {
-	c.sc.shards[0].recordBatch(batch, c.sc.policy)
+	c.sc.RecordBatch(batch)
 }
 
 // Close flushes buffered events, stops the drain goroutine and sorts the

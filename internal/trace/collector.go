@@ -52,8 +52,14 @@ type CollectorStats struct {
 	// after-close drops are reported in the collector-wide counter.
 	ShardEvents    []uint64
 	ShardDropped   []uint64
-	ShardHighWater []int // max queue length observed per shard
+	ShardHighWater []int // max queue length observed per shard, in events
 	ShardBlock     []time.Duration
+
+	// ShardBatches counts the batches each shard's batch lane carried: one
+	// per shard a producer flush touched. ShardBatchEvents counts the events
+	// in them, so their ratio is the mean batch fill.
+	ShardBatches     []uint64
+	ShardBatchEvents []uint64
 
 	// ShardQueueDepth holds the sampled queue-depth distribution per shard
 	// when EnableQueueSampling ran; nil otherwise. The high-water mark says
@@ -81,6 +87,10 @@ func (cs CollectorStats) Write(w io.Writer) error {
 			i, cs.ShardEvents[i], cs.ShardHighWater[i], cs.Buffer, cs.ShardBlock[i])
 		if i < len(cs.ShardDropped) && cs.ShardDropped[i] > 0 {
 			line += fmt.Sprintf(", dropped %d", cs.ShardDropped[i])
+		}
+		if i < len(cs.ShardBatches) && cs.ShardBatches[i] > 0 {
+			line += fmt.Sprintf(", %d batches (mean fill %.1f)",
+				cs.ShardBatches[i], float64(cs.ShardBatchEvents[i])/float64(cs.ShardBatches[i]))
 		}
 		if i < len(cs.ShardQueueDepth) && cs.ShardQueueDepth[i].Count > 0 {
 			q := cs.ShardQueueDepth[i]

@@ -51,12 +51,15 @@ func (b *ColumnBatch) At(i int) Event {
 // Grow ensures capacity for n more events without changing Len. Capacity
 // doubles rather than following the runtime's ~1.25× large-slice growth, so
 // million-event stores bound cumulative copy volume by 2× the final size
-// (the same policy the shard stores used for []Event).
+// (the same policy the shard stores used for []Event). The capacity check
+// inlines; only a real reallocation costs a call.
 func (b *ColumnBatch) Grow(n int) {
-	need := len(b.Seq) + n
-	if need <= cap(b.Seq) {
-		return
+	if need := len(b.Seq) + n; need > cap(b.Seq) {
+		b.grow(need)
 	}
+}
+
+func (b *ColumnBatch) grow(need int) {
 	newCap := 2 * cap(b.Seq)
 	if newCap < need {
 		newCap = need

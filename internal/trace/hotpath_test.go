@@ -120,6 +120,28 @@ func benchmarkHotPath(b *testing.B, batched bool) {
 func BenchmarkHotPathEmit(b *testing.B) { benchmarkHotPath(b, false) }
 func BenchmarkHotPathBind(b *testing.B) { benchmarkHotPath(b, true) }
 
+// BenchmarkShardedFlushAlternating is the worst case for the batch lane: one
+// Bind producer alternating two instances that live on different shards of a
+// 2-shard collector, so every 64-event flush touches both shards. It pins
+// the cost of scattering a flush into one send per shard, through to Close.
+func BenchmarkShardedFlushAlternating(b *testing.B) {
+	const events = 1 << 17
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		col := NewShardedCollector(2)
+		s := NewSessionWith(Options{Recorder: col})
+		b.StartTimer()
+		p := s.Bind()
+		for j := 0; j < events; j++ {
+			p.Emit(InstanceID(2+j%2), OpRead, j, events)
+		}
+		p.Close()
+		col.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
 // BenchmarkGoidLookup pins the cost of the sharded goroutine-id table's fast
 // path (the per-event price Session.Emit pays with CaptureThreads on).
 func BenchmarkGoidLookup(b *testing.B) {

@@ -400,9 +400,15 @@ type CollectorServer struct {
 	// a connection accepted after that is closed instead of served.
 	cutting bool
 
-	wg      sync.WaitGroup
-	closing chan struct{}
+	wg         sync.WaitGroup
+	closing    chan struct{}
+	acceptDone chan struct{} // closed when acceptLoop returns
 }
+
+// backlogGrace is how long a graceful Close keeps accepting once the
+// listener's backlog looks empty. Producers that connected before Close are
+// already queued in the backlog, so the grace only bounds the final wait.
+const backlogGrace = time.Millisecond
 
 // ListenCollector starts a collector server with default options on the
 // given listener address. Use network "tcp" with addr "127.0.0.1:0" for an
@@ -429,13 +435,14 @@ func NewCollectorServer(ln net.Listener, opts ServerOptions) *CollectorServer {
 		opts.AcceptBackoffMax = time.Second
 	}
 	cs := &CollectorServer{
-		ln:        ln,
-		opts:      opts,
-		log:       orNoLog(opts.Logger),
-		tracer:    opts.Tracer,
-		instances: make(map[InstanceID]Instance),
-		open:      make(map[net.Conn]struct{}),
-		closing:   make(chan struct{}),
+		ln:         ln,
+		opts:       opts,
+		log:        orNoLog(opts.Logger),
+		tracer:     opts.Tracer,
+		instances:  make(map[InstanceID]Instance),
+		open:       make(map[net.Conn]struct{}),
+		closing:    make(chan struct{}),
+		acceptDone: make(chan struct{}),
 	}
 	if opts.Tenancy != nil {
 		cs.tenants = newTenantTable(opts.Tenancy)
@@ -467,9 +474,11 @@ func (cs *CollectorServer) Addr() net.Addr { return cs.ln.Addr() }
 // acceptLoop accepts until the server closes. Transient Accept errors —
 // EMFILE bursts, resets on half-open connections — are retried with
 // exponential backoff instead of killing the server (the net/http pattern);
-// only listener closure ends the loop.
+// only listener closure, or the backlog deadline of a graceful Close, ends
+// the loop.
 func (cs *CollectorServer) acceptLoop() {
 	defer cs.wg.Done()
+	defer close(cs.acceptDone)
 	var delay time.Duration
 	for {
 		conn, err := cs.ln.Accept()
@@ -503,6 +512,13 @@ func (cs *CollectorServer) acceptLoop() {
 			continue
 		}
 		delay = 0
+		select {
+		case <-cs.closing:
+			// A graceful Close is taking the backlog: give the next queued
+			// connection a fresh grace.
+			cs.armBacklog()
+		default:
+		}
 
 		cs.mu.Lock()
 		if cs.cutting {
@@ -769,8 +785,10 @@ func (cs *CollectorServer) WaitStreams(n int) {
 
 // Close stops accepting connections and waits for in-flight producer
 // streams to finish (a wedged producer is bounded by ConnTimeout, if set).
-// It returns the first server-level error; per-connection stream errors are
-// reported in ServerStats, not here.
+// Producers that connected before Close but still wait in the listener's
+// backlog are accepted and served too, when the listener supports accept
+// deadlines (TCP and Unix listeners do). It returns the first server-level
+// error; per-connection stream errors are reported in ServerStats, not here.
 func (cs *CollectorServer) Close() error {
 	return cs.shutdown(false)
 }
@@ -799,6 +817,12 @@ func (cs *CollectorServer) shutdown(kill bool) error {
 	if !alreadyClosed {
 		close(cs.closing)
 	}
+	if !kill && cs.armBacklog() {
+		// Let the accept loop take the connections still queued in the
+		// backlog: they are accepted at once, and the first Accept that
+		// finds the backlog empty times out and ends the loop.
+		<-cs.acceptDone
+	}
 	cs.ln.Close()
 	for _, conn := range open {
 		conn.Close()
@@ -806,6 +830,14 @@ func (cs *CollectorServer) shutdown(kill bool) error {
 	cs.wg.Wait()
 	cs.sampler.Stop()
 	return cs.firstErr()
+}
+
+// armBacklog sets the listener's accept deadline backlogGrace from now and
+// reports whether the listener took it; listeners without deadlines close at
+// once on Close, backlog or not.
+func (cs *CollectorServer) armBacklog() bool {
+	dl, ok := cs.ln.(interface{ SetDeadline(time.Time) error })
+	return ok && dl.SetDeadline(time.Now().Add(backlogGrace)) == nil
 }
 
 // Drain is the SIGTERM path: stop accepting, give in-flight producer streams

@@ -106,7 +106,7 @@ type ShardedCollector struct {
 	once   sync.Once
 	closed atomic.Bool
 
-	// drainHist observes the size of every batch the drains hand to the
+	// drainHist observes the events each drain burst moves to the
 	// store/sink; mergeSplits counts batch runs split at overlap boundaries
 	// by the columnar k-way merge. Both feed the dsspy_columnar_* metrics.
 	drainHist   *obs.Histogram
@@ -114,21 +114,38 @@ type ShardedCollector struct {
 
 	mergeOnce  sync.Once
 	mergedCols *ColumnBatch
+
+	// scatters recycles RecordBatch's per-shard scatter tables, so a
+	// steady-state flush allocates nothing whatever the shard count. It is
+	// allocated apart from the collector: the runtime keeps every used pool
+	// reachable for up to two GC cycles, and an embedded pool would keep the
+	// collector — and its channel buffers — alive with it.
+	scatters *sync.Pool
+}
+
+// scatter is RecordBatch's scratch: by holds the pooled column batch each
+// shard touched by the current producer batch is filling (nil for shards
+// not touched), and touched lists those shards in first-touch order.
+type scatter struct {
+	by      []*ColumnBatch
+	touched []int
 }
 
 // ShardSink consumes column batches from one shard's drain goroutine. Each
 // shard has exactly one drain goroutine, so calls for a given shard index are
 // serialized (calls for different shards are concurrent). The batch and its
-// columns are reused between calls — a sink must fold or copy the events,
-// never retain the batch or any of its column slices.
+// columns are reused after the call returns — a batch-lane batch is the
+// producer's pooled batch, recycled for a later flush; staged per-event
+// arrivals come in the drain's own scratch batch — so a sink must fold or
+// copy the events, never retain the batch or any of its column slices.
 type ShardSink func(shard int, batch *ColumnBatch)
 
 // shardBatchPool recycles the column batches that carry producer batches
-// across the shard boundary: RecordBatch scatters the caller's batch into a
-// pooled ColumnBatch (the caller reuses its slice immediately — this scatter
-// is the one AoS→SoA pivot on the hot path, paid once per batch on the
-// producer side), and the drain goroutine returns the batch after moving its
-// columns.
+// across the shard boundary: RecordBatch scatters the caller's batch into one
+// pooled ColumnBatch per shard it touches (the caller reuses its slice
+// immediately — this scatter is the one AoS→SoA pivot on the hot path, paid
+// once per event on the producer side), and the drain goroutine returns each
+// batch once it has moved it into the store and/or the sink.
 var shardBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
 
 // shard is one partition: a buffered channel drained by a dedicated
@@ -142,8 +159,11 @@ type shard struct {
 	// ordering *between* the lanes is select order, so a producer that needs
 	// a deterministic interleave must stay on one lane (which Producer and
 	// Session.Emit each do). Batches travel in columnar form end to end.
-	chb  chan *ColumnBatch
-	done chan struct{}
+	chb chan *ColumnBatch
+	// inflight counts the events inside the batches on chb: a producer adds
+	// a batch's length before its send, the drain subtracts it on receipt.
+	inflight atomic.Int64
+	done     chan struct{}
 
 	// id, sink and retain configure the drain destination: with a sink the
 	// drain hands each batch to it; with retain the batch also lands in the
@@ -154,8 +174,8 @@ type shard struct {
 	retain bool
 
 	// tracer points at the collector's tracer slot; the drain goroutine reads
-	// it per batch so SetTracer takes effect on a live collector. hist is the
-	// collector-wide drain-batch-size histogram.
+	// it per burst so SetTracer takes effect on a live collector. hist is the
+	// collector-wide events-per-drain-burst histogram.
 	tracer *atomic.Pointer[obs.Tracer]
 	hist   *obs.Histogram
 
@@ -168,9 +188,9 @@ type shard struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// cols is the shard-local store, held columnar: batch-lane events land
-	// here with six column copies and are never inflated to Event structs
-	// unless a post-mortem consumer asks for them.
+	// cols is the shard-local store, held columnar: a batch-lane batch is
+	// appended here with six column copies and its events are never inflated
+	// to Event structs unless a post-mortem consumer asks for them.
 	mu   sync.Mutex
 	cols ColumnBatch
 
@@ -181,8 +201,10 @@ type shard struct {
 	highWater     atomic.Int64
 	blockNS       atomic.Int64
 	// columnar counts events that crossed the shard boundary in columnar
-	// batches — each is an Event inflation the drain never performed.
+	// batches — each is an Event inflation the drain never performed — and
+	// batches counts those batches.
 	columnar atomic.Uint64
+	batches  atomic.Uint64
 }
 
 func newShard(id, buf int, sink ShardSink, retain bool, tracer *atomic.Pointer[obs.Tracer], hist *obs.Histogram) *shard {
@@ -200,10 +222,9 @@ func newShard(id, buf int, sink ShardSink, retain bool, tracer *atomic.Pointer[o
 	return sh
 }
 
-// queued approximates the number of events waiting in both lanes (batches in
-// flight are counted at the nominal batch size).
+// queued returns the number of events waiting in both lanes.
 func (sh *shard) queued() int64 {
-	return int64(len(sh.ch)) + int64(len(sh.chb))*DefaultBatchSize
+	return int64(len(sh.ch)) + sh.inflight.Load()
 }
 
 // markHighWater raises the queue high-water mark to q if it grew.
@@ -252,36 +273,35 @@ func (sh *shard) record(e Event, pol OverloadPolicy) {
 	}
 }
 
-// recordBatch enqueues a whole producer batch on the batch lane: one pooled
-// columnar scatter and one channel send for the entire batch. Accounting
-// matches record event-for-event — delivered + dropped == recorded still
-// holds — with the overload policy applied to the batch as a unit (Sample
-// delivers one in n overflowing batches).
-func (sh *shard) recordBatch(batch []Event, pol OverloadPolicy) {
-	n := uint64(len(batch))
-	if n == 0 {
-		return
-	}
+// send enqueues one per-shard column batch on the batch lane and takes
+// ownership of bp: the drain recycles it after moving it, and send recycles
+// it itself when the batch is not delivered. Accounting matches record
+// event for event — delivered + dropped == recorded still holds — with the
+// overload policy applied to the batch as a unit (DropNewest drops the whole
+// batch, Sample delivers one in n overflowing batches).
+func (sh *shard) send(bp *ColumnBatch, pol OverloadPolicy) {
+	n := uint64(bp.Len())
 	sh.closeMu.RLock()
 	defer sh.closeMu.RUnlock()
 	sh.count.Add(n)
 	if sh.closed {
 		sh.droppedClosed.Add(n)
+		shardBatchPool.Put(bp)
 		return
 	}
-	bp := shardBatchPool.Get().(*ColumnBatch)
-	bp.Reset()
-	bp.AppendEvents(batch)
+	sh.inflight.Add(int64(n))
 	select {
 	case sh.chb <- bp:
 	default:
 		switch pol.kind {
 		case overloadDrop:
+			sh.inflight.Add(-int64(n))
 			sh.dropped.Add(n)
 			shardBatchPool.Put(bp)
 			return
 		case overloadSample:
 			if sh.overflow.Add(1)%pol.n != 0 {
+				sh.inflight.Add(-int64(n))
 				sh.dropped.Add(n)
 				shardBatchPool.Put(bp)
 				return
@@ -299,18 +319,20 @@ func (sh *shard) recordBatch(batch []Event, pol OverloadPolicy) {
 }
 
 // drain moves events from both lanes into the shard-local store and/or the
-// sink. Each wakeup gathers everything already queued — single events from
-// ch, whole columnar batches from chb — into one working column batch, so
-// the store mutex is taken and the sink is called once per burst rather than
-// once per event. Batch-lane events stay columnar end to end: six column
-// copies into the working batch, six into the store, never an Event struct.
+// sink. Each wakeup handles everything already queued as one burst. A
+// batch-lane batch is moved as it is — appended to the store under the
+// shard lock and/or handed to the sink, then recycled — so its events stay
+// columnar end to end and are copied once. Per-event arrivals from ch are
+// staged in the working batch, which is flushed before any batch is moved
+// and at the end of the burst, so the store keeps arrival order across the
+// lanes. Each burst is one drain span and one drain-size observation.
 // Exits when both lanes are closed and empty.
 func (sh *shard) drain() {
 	ch, chb := sh.ch, sh.chb
 	var work ColumnBatch
 	for ch != nil || chb != nil {
-		work.Reset()
 		// Block for the first arrival on either lane.
+		var first *ColumnBatch
 		select {
 		case e, ok := <-ch:
 			if !ok {
@@ -323,13 +345,17 @@ func (sh *shard) drain() {
 				chb = nil
 				continue
 			}
-			work.AppendRange(bp, 0, bp.Len())
-			sh.columnar.Add(uint64(bp.Len()))
-			shardBatchPool.Put(bp)
+			first = bp
 		}
-		// Gather the rest of the burst without blocking. A lane that closes
-		// mid-gather goes nil; with both lanes nil the select hits default.
-	gather:
+		t := sh.tracer.Load()
+		sp := t.Begin("drain", "collector")
+		n := 0
+		if first != nil {
+			n += sh.move(first)
+		}
+		// Take the rest of the burst without blocking. A lane that closes
+		// mid-burst goes nil; with both lanes nil the select hits default.
+	burst:
 		for {
 			select {
 			case e, ok := <-ch:
@@ -343,33 +369,54 @@ func (sh *shard) drain() {
 					chb = nil
 					continue
 				}
-				work.AppendRange(bp, 0, bp.Len())
-				sh.columnar.Add(uint64(bp.Len()))
-				shardBatchPool.Put(bp)
+				n += sh.flush(&work)
+				n += sh.move(bp)
 			default:
-				break gather
+				break burst
 			}
 		}
-		n := work.Len()
-		if n == 0 {
-			continue
-		}
+		n += sh.flush(&work)
 		sh.hist.ObserveValue(int64(n))
-		t := sh.tracer.Load()
-		sp := t.Begin("drain", "collector")
-		if sh.sink == nil || sh.retain {
-			sh.mu.Lock()
-			sh.cols.AppendRange(&work, 0, n)
-			sh.mu.Unlock()
-		}
-		if sh.sink != nil {
-			sh.sink(sh.id, &work)
-		}
 		if t != nil {
 			sp.End("shard", strconv.Itoa(sh.id), "events", strconv.Itoa(n))
 		}
 	}
 	close(sh.done)
+}
+
+// move delivers one batch-lane batch and recycles it, returning its length.
+func (sh *shard) move(bp *ColumnBatch) int {
+	n := bp.Len()
+	sh.inflight.Add(-int64(n))
+	sh.columnar.Add(uint64(n))
+	sh.batches.Add(1)
+	sh.deliver(bp)
+	shardBatchPool.Put(bp)
+	return n
+}
+
+// flush delivers the staged per-event arrivals, if any, and empties the
+// working batch, returning how many it delivered.
+func (sh *shard) flush(work *ColumnBatch) int {
+	n := work.Len()
+	if n > 0 {
+		sh.deliver(work)
+		work.Reset()
+	}
+	return n
+}
+
+// deliver appends b to the store (unless a sink is the only destination)
+// and hands it to the sink, if any.
+func (sh *shard) deliver(b *ColumnBatch) {
+	if sh.sink == nil || sh.retain {
+		sh.mu.Lock()
+		sh.cols.AppendRange(b, 0, b.Len())
+		sh.mu.Unlock()
+	}
+	if sh.sink != nil {
+		sh.sink(sh.id, b)
+	}
 }
 
 // snapshot inflates a copy of the store for live readers.
@@ -424,6 +471,7 @@ func NewStreamingShardedCollector(n, buf int, policy OverloadPolicy, retain bool
 		buf = 1
 	}
 	c := &ShardedCollector{shards: make([]*shard, n), buf: buf, policy: policy}
+	c.scatters = &sync.Pool{New: func() any { return &scatter{by: make([]*ColumnBatch, n)} }}
 	c.drainHist = obs.NewHistogram()
 	for i := range c.shards {
 		c.shards[i] = newShard(i, buf, sink, retain, &c.tracer, c.drainHist)
@@ -461,25 +509,41 @@ func (c *ShardedCollector) Record(e Event) {
 	c.shards[int(e.Instance)%len(c.shards)].record(e, c.policy)
 }
 
-// RecordBatch enqueues a producer batch, splitting it into runs of
-// consecutive events owned by the same shard so each run costs one pooled
-// copy and one channel send. The caller's slice is not retained. Overload
-// and after-close semantics match Record, applied per run.
+// RecordBatch enqueues a producer batch with one channel send per shard it
+// touches. One pass scatters each event into a pooled column batch for its
+// shard, keeping producer order within each shard; then each per-shard batch
+// is sent once. The caller's slice is not retained. Overload and after-close
+// semantics match Record, applied per per-shard batch: the overload unit is
+// the events one flush routes to one shard.
 func (c *ShardedCollector) RecordBatch(batch []Event) {
+	sc := c.scatters.Get().(*scatter)
 	n := len(c.shards)
-	if n == 1 {
-		c.shards[0].recordBatch(batch, c.policy)
-		return
-	}
-	for i := 0; i < len(batch); {
-		s := int(batch[i].Instance) % n
-		j := i + 1
-		for j < len(batch) && int(batch[j].Instance)%n == s {
-			j++
+	for k := range batch {
+		e := &batch[k]
+		s := int(e.Instance) % n
+		b := sc.by[s]
+		if b == nil {
+			b = shardBatchPool.Get().(*ColumnBatch)
+			b.Reset()
+			sc.by[s] = b
+			sc.touched = append(sc.touched, s)
 		}
-		c.shards[s].recordBatch(batch[i:j], c.policy)
-		i = j
+		// Grow inlines to one compare here: a pooled batch has room for a
+		// whole producer batch. Six scalar appends then beat a call per event.
+		b.Grow(1)
+		b.Seq = append(b.Seq, e.Seq)
+		b.Instance = append(b.Instance, e.Instance)
+		b.Op = append(b.Op, e.Op)
+		b.Thread = append(b.Thread, e.Thread)
+		b.Index = append(b.Index, e.Index)
+		b.Size = append(b.Size, e.Size)
 	}
+	for _, s := range sc.touched {
+		c.shards[s].send(sc.by[s], c.policy)
+		sc.by[s] = nil
+	}
+	sc.touched = sc.touched[:0]
+	c.scatters.Put(sc)
 }
 
 // Close flushes every shard and stops the drain goroutines. It is
@@ -657,6 +721,9 @@ func (c *ShardedCollector) Stats() CollectorStats {
 		ShardDropped:   make([]uint64, len(c.shards)),
 		ShardHighWater: make([]int, len(c.shards)),
 		ShardBlock:     make([]time.Duration, len(c.shards)),
+
+		ShardBatches:     make([]uint64, len(c.shards)),
+		ShardBatchEvents: make([]uint64, len(c.shards)),
 	}
 	for i, sh := range c.shards {
 		n := sh.count.Load()
@@ -672,6 +739,8 @@ func (c *ShardedCollector) Stats() CollectorStats {
 		blk := time.Duration(sh.blockNS.Load())
 		cs.ShardBlock[i] = blk
 		cs.BlockTime += blk
+		cs.ShardBatches[i] = sh.batches.Load()
+		cs.ShardBatchEvents[i] = sh.columnar.Load()
 	}
 	if c.sampler != nil {
 		cs.QueueSampleInterval = c.sampler.Interval()
@@ -697,11 +766,14 @@ func (c *ShardedCollector) WriteMetrics(w *obs.PromWriter) {
 		w.Counter("dsspy_collector_block_seconds_total",
 			"Cumulative producer time blocked on a full shard buffer.",
 			float64(sh.blockNS.Load())/1e9, "shard", shard)
+		w.Counter("dsspy_collector_batches_total",
+			"Batches moved off each shard's batch lane: one per shard a delivered producer flush touched.",
+			float64(sh.batches.Load()), "shard", shard)
 		w.Gauge("dsspy_collector_queue_len",
-			"Current shard queue length (events + in-flight batches).",
+			"Current shard queue length: events waiting in both lanes.",
 			float64(sh.queued()), "shard", shard)
 		w.Gauge("dsspy_collector_queue_high_water",
-			"Max shard queue length observed.", float64(sh.highWater.Load()), "shard", shard)
+			"Max shard queue length observed, in events.", float64(sh.highWater.Load()), "shard", shard)
 	}
 	if c.sampler != nil {
 		for i := range c.shards {
@@ -714,7 +786,7 @@ func (c *ShardedCollector) WriteMetrics(w *obs.PromWriter) {
 		avoided += sh.columnar.Load()
 	}
 	w.Histogram("dsspy_columnar_drain_batch_events",
-		"Events per drain burst, moved to the store/sink as one column batch.",
+		"Events per drain burst moved to the store/sink.",
 		c.drainHist.Snapshot(), 1)
 	w.Counter("dsspy_columnar_inflations_avoided_total",
 		"Events that crossed the shard boundary in columnar batches and were never inflated to Event structs.",

@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"io"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestOpString(t *testing.T) {
@@ -480,6 +483,98 @@ func TestSocketCollectorMultipleProducers(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := len(srv.Events()); got != producers*perProducer {
+		t.Fatalf("received %d events, want %d", got, producers*perProducer)
+	}
+}
+
+// backlogListener is a listener whose connections have all arrived but sit
+// in the backlog: Accept hands them out only once an accept deadline is set
+// (as a graceful CollectorServer.Close does), and reports a deadline expiry
+// when the backlog is empty. It models producers that dialled before Close
+// while the accept loop had not yet run.
+type backlogListener struct {
+	mu      sync.Mutex
+	backlog []net.Conn
+	armed   chan struct{}
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func newBacklogListener(conns []net.Conn) *backlogListener {
+	return &backlogListener{backlog: conns, armed: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (l *backlogListener) Accept() (net.Conn, error) {
+	select {
+	case <-l.armed:
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.backlog) == 0 {
+		return nil, os.ErrDeadlineExceeded
+	}
+	conn := l.backlog[0]
+	l.backlog = l.backlog[1:]
+	return conn, nil
+}
+
+func (l *backlogListener) SetDeadline(time.Time) error {
+	l.once.Do(func() { close(l.armed) })
+	return nil
+}
+
+func (l *backlogListener) Close() error {
+	select {
+	case <-l.closed:
+	default:
+		close(l.closed)
+	}
+	return nil
+}
+
+func (l *backlogListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestCollectorServerCloseServesBacklog: a graceful Close must accept and
+// serve every producer still queued in the listener's backlog before it
+// closes the listener, so no complete stream is lost to the shutdown race.
+func TestCollectorServerCloseServesBacklog(t *testing.T) {
+	const producers, perProducer = 3, 500
+	conns := make([]net.Conn, producers)
+	var wg sync.WaitGroup
+	for p := range conns {
+		server, client := net.Pipe()
+		conns[p] = server
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rec, err := NewSocketRecorder(client)
+			if err != nil {
+				t.Errorf("producer %d: %v", p, err)
+				return
+			}
+			for i := 0; i < perProducer; i++ {
+				rec.Record(Event{Seq: uint64(p*perProducer + i + 1), Instance: InstanceID(p + 1), Op: OpRead, Index: i})
+			}
+			if err := rec.Close(); err != nil {
+				t.Errorf("producer %d close: %v", p, err)
+			}
+		}(p)
+	}
+	srv := NewCollectorServer(newBacklogListener(conns), ServerOptions{})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.ServerStats().Accepted; got != producers {
+		for _, conn := range conns {
+			conn.Close() // release the producers stuck on unaccepted pipes
+		}
+		wg.Wait()
+		t.Fatalf("accepted %d backlogged connections, want %d", got, producers)
+	}
+	wg.Wait()
 	if got := len(srv.Events()); got != producers*perProducer {
 		t.Fatalf("received %d events, want %d", got, producers*perProducer)
 	}
