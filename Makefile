@@ -2,12 +2,14 @@ GO ?= go
 
 .PHONY: check build vet test race bench bench-stream bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
 
-## check: everything CI runs — build, vet, full tests, race tests on the
-## concurrent packages, the streaming/batch and hot-path differentials under
-## the race detector, the hot-path acceptance gate, the live /metrics +
-## /statusz smoke, and a short fuzz pass over the salvaging decoders. This is
-## the single command to run before pushing.
+## check: everything CI runs — a gofmt gate (no file may need formatting),
+## build, vet, full tests, race tests on the concurrent packages, the
+## streaming/batch and hot-path differentials under the race detector, the
+## hot-path acceptance gate, the live /metrics + /statusz smoke, and a short
+## fuzz pass over the salvaging decoders. This is the single command to run
+## before pushing.
 check:
+	test -z "$$(gofmt -l .)" || { echo "gofmt: unformatted files:"; gofmt -l .; exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -59,11 +61,13 @@ bench-obs:
 ## (DSSPY_HOTPATH_GATE=1 enables the wall-clock half), and the v3 columnar
 ## wire format must spend ≤1/3 the bytes/event of v2 on a corpus-like stream.
 ## Benchmarks: Emit-vs-Bind ns/event, a flush alternating two shards (one
-## batch-lane send per shard touched), the goroutine-id fast path, and the
-## k-way merge vs the global sort at 1M events.
+## batch-lane send per shard touched), the goroutine-id fast path, the
+## k-way merge vs the global sort at 1M events, and the two socket-ingest
+## layers: collector-server ingest plus Events at 2×500k events, and
+## two-goroutine per-event Emit over a loopback socket recorder.
 bench-hotpath:
 	DSSPY_HOTPATH_GATE=1 $(GO) test ./internal/trace/ -run 'TestHotPathLatencyGate|TestV3BytesPerEventGate' -v -count 1
-	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|ShardedFlushAlternating|GoidLookup|MergeKWay1M|MergeGlobalSort1M' -benchmem -benchtime 2x -count 1
+	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|ShardedFlushAlternating|GoidLookup|MergeKWay1M|MergeGlobalSort1M|CollectorServerEvents1M|SocketEmit2P' -benchmem -benchtime 2x -count 1
 
 ## bench-columnar: the columnar engine's acceptance gates and benchmarks.
 ## Gates (DSSPY_COLUMNAR_GATE=1): streaming fold throughput over column

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -94,5 +95,46 @@ func TestBuildParallelDoesNotMutateInput(t *testing.T) {
 	BuildParallel(s, in, 2)
 	if !reflect.DeepEqual(in, events) {
 		t.Fatal("BuildParallel reordered the caller's event slice")
+	}
+}
+
+// TestBuildParallelInstancesStraddleEveryChunk pins the chunk scatter: every
+// instance has events in every chunk, so each bucket is filled from one span
+// per chunk. The layouts cover a stream already in order (no sort needed),
+// spans out of order at their seams (the second half of the stream first),
+// and a span out of order inside (same-instance neighbours swapped).
+func TestBuildParallelInstancesStraddleEveryChunk(t *testing.T) {
+	const instances = 3
+	s := trace.NewSession()
+	for i := 0; i < instances; i++ {
+		s.Register(trace.KindList, "List[int]", "", 0)
+	}
+	n := 4 * parallelBuildThreshold
+	inOrder := make([]trace.Event, n)
+	for i := range inOrder {
+		inOrder[i] = trace.Event{
+			Seq:      uint64(i + 1),
+			Instance: trace.InstanceID(i%instances + 1),
+			Op:       trace.OpRead,
+			Index:    i % 64,
+			Size:     64,
+		}
+	}
+	seams := append(append([]trace.Event(nil), inOrder[n/2:]...), inOrder[:n/2]...)
+	inside := append([]trace.Event(nil), inOrder...)
+	for i := 0; i+instances < n; i += 5 * instances {
+		inside[i], inside[i+instances] = inside[i+instances], inside[i]
+	}
+	layouts := []struct {
+		name   string
+		events []trace.Event
+	}{{"in-order", inOrder}, {"seams", seams}, {"inside", inside}}
+	for _, l := range layouts {
+		want := Build(s, l.events)
+		for _, workers := range []int{2, 3, 4, 7} {
+			t.Run(fmt.Sprintf("%s/workers=%d", l.name, workers), func(t *testing.T) {
+				profilesEqual(t, want, BuildParallel(s, l.events, workers))
+			})
+		}
 	}
 }

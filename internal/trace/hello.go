@@ -81,19 +81,21 @@ func (sw *StreamWriter) WriteHello(h Hello) error {
 // Call it once, right after the recorder is created.
 func (s *SocketRecorder) SendHello(h Hello) error {
 	s.mu.Lock()
+	s.wmu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	defer s.wmu.Unlock()
+	if err := s.stickyErr(); err != nil {
+		return err
 	}
 	if s.conn == nil {
 		return errors.New("trace: socket recorder closed")
 	}
 	if err := s.sw.WriteHello(h); err != nil {
-		s.err = err
+		s.fail(err)
 		return err
 	}
 	if err := s.sw.Flush(); err != nil {
-		s.err = err
+		s.fail(err)
 		return err
 	}
 	return nil

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -239,8 +240,10 @@ type tenantState struct {
 	badConns         int // consecutive poisoned connections
 	quarantinedUntil time.Time
 
-	// Store mode: retained events and registry, bounded by the quota.
-	events    []Event
+	// Store mode: retained events, one columnar store per connection keyed
+	// by the server's accept ordinal, and the registry, bounded by the quota.
+	stores    map[int]*ColumnBatch
+	stored    int
 	instances map[InstanceID]Instance
 }
 
@@ -252,6 +255,7 @@ func newTenantState(name string, quota TenantQuota, now time.Time) *tenantState 
 		lastRefill: now,
 		epochStart: now,
 		underSince: now,
+		stores:     make(map[int]*ColumnBatch),
 		instances:  make(map[InstanceID]Instance),
 	}
 }
@@ -372,12 +376,13 @@ func (t *tenantState) demoteLocked(now time.Time) {
 	t.underSince = now
 }
 
-// store appends admitted events to the retained per-tenant store, enforcing
-// the memory bound; overflow is dropped and counted.
-func (t *tenantState) store(events []Event) {
+// store appends admitted events from the conn-th accepted connection to the
+// retained per-tenant store, enforcing the memory bound; overflow is dropped
+// and counted.
+func (t *tenantState) store(conn int, events []Event) {
 	t.mu.Lock()
 	if max := t.quota.MaxStoredEvents; max > 0 {
-		room := max - len(t.events)
+		room := max - t.stored
 		if room < 0 {
 			room = 0
 		}
@@ -388,8 +393,33 @@ func (t *tenantState) store(events []Event) {
 			events = events[:room]
 		}
 	}
-	t.events = append(t.events, events...)
+	b := t.stores[conn]
+	if b == nil {
+		b = new(ColumnBatch)
+		t.stores[conn] = b
+	}
+	b.AppendEvents(events)
+	t.stored += len(events)
 	t.mu.Unlock()
+}
+
+// storedEvents returns the retained events ordered by sequence number, ties
+// broken by connection accept order, then arrival order. Appends only write
+// past the views taken here, so the ordering runs outside the lock.
+func (t *tenantState) storedEvents() []Event {
+	t.mu.Lock()
+	conns := make([]int, 0, len(t.stores))
+	for c := range t.stores {
+		conns = append(conns, c)
+	}
+	slices.Sort(conns)
+	runs := make([]ColumnBatch, len(conns))
+	for i, c := range conns {
+		b := t.stores[c]
+		runs[i] = b.Slice(0, b.Len())
+	}
+	t.mu.Unlock()
+	return orderBySeq(runs)
 }
 
 // admitConn reserves a connection slot, enforcing the tenant conn cap and
@@ -457,7 +487,7 @@ func (t *tenantState) stats(now time.Time) TenantStats {
 		Demotions:     t.demotions,
 		Promotions:    t.promotions,
 		Quarantined:   now.Before(t.quarantinedUntil),
-		StoredEvents:  len(t.events),
+		StoredEvents:  t.stored,
 	}
 }
 

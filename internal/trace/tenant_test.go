@@ -92,9 +92,9 @@ type fakeClock struct {
 	now time.Time
 }
 
-func (c *fakeClock) Now() time.Time            { return c.now }
-func (c *fakeClock) Advance(d time.Duration)   { c.now = c.now.Add(d) }
-func (c *fakeClock) Sleep(d time.Duration)     { c.Advance(d) }
+func (c *fakeClock) Now() time.Time          { return c.now }
+func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
+func (c *fakeClock) Sleep(d time.Duration)   { c.Advance(d) }
 
 func conservedOrFatal(t *testing.T, ts TenantStats) {
 	t.Helper()
@@ -205,7 +205,7 @@ func TestTenantStoreBound(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	ts := newTenantState("alpha", TenantQuota{MaxStoredEvents: 100}.withDefaults(), clk.Now())
 	kept, _ := ts.admit(make([]Event, 250), clk.Now())
-	ts.store(kept)
+	ts.store(0, kept)
 	got := ts.stats(clk.Now())
 	if got.StoredEvents != 100 {
 		t.Fatalf("stored %d events, want bound of 100", got.StoredEvents)
