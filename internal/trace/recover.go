@@ -22,6 +22,10 @@ import (
 type Recovery struct {
 	Events    int // events recovered
 	Instances int // registry records recovered
+	// RejectedInstances counts registry records refused because their ID
+	// lay implausibly far past the registry restored so far (a corrupt ID;
+	// see Session.RestoreInstance).
+	RejectedInstances int
 	// SkippedFrames counts event-batch frames dropped because their CRC32
 	// check failed; SkippedEvents is the number of events those frames
 	// declared. Only version-2 streams carry checksums.
@@ -39,7 +43,17 @@ type Recovery struct {
 
 // Clean reports whether the stream was decoded completely with no loss.
 func (r *Recovery) Clean() bool {
-	return r != nil && !r.Truncated && r.SkippedFrames == 0 && r.Err == nil
+	return r != nil && !r.Truncated && r.SkippedFrames == 0 && r.RejectedInstances == 0 && r.Err == nil
+}
+
+// countInstance hands a registry record to onInstance, when set, and counts
+// it as recovered or rejected.
+func (r *Recovery) countInstance(onInstance func(Instance) bool, inst Instance) {
+	if onInstance != nil && !onInstance(inst) {
+		r.RejectedInstances++
+		return
+	}
+	r.Instances++
 }
 
 // String summarizes the recovery for logs and CLI output.
@@ -50,6 +64,9 @@ func (r *Recovery) String() string {
 	s := fmt.Sprintf("recovered %d events, %d instances", r.Events, r.Instances)
 	if r.SkippedFrames > 0 {
 		s += fmt.Sprintf("; skipped %d corrupt frame(s) (%d events)", r.SkippedFrames, r.SkippedEvents)
+	}
+	if r.RejectedInstances > 0 {
+		s += fmt.Sprintf("; refused %d registry record(s) with implausible ids", r.RejectedInstances)
 	}
 	if r.Truncated {
 		s += fmt.Sprintf("; truncated tail (%d bytes discarded)", r.DiscardedBytes)
@@ -83,9 +100,7 @@ func RecoverSessionLog(path string) (*Session, []Event, *Recovery, error) {
 		return nil, nil, nil, err
 	}
 	s := NewSessionWith(Options{Recorder: NullRecorder{}})
-	events, rec := recoverStream(sr, size, func(inst Instance) {
-		s.restoreInstance(inst)
-	})
+	events, rec := recoverStream(sr, size, s.restoreInstance)
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 	return s, events, rec, nil
 }
@@ -111,9 +126,7 @@ func RecoverSessionColumns(path string) (*Session, []*ColumnBatch, *Recovery, er
 		return nil, nil, nil, err
 	}
 	s := NewSessionWith(Options{Recorder: NullRecorder{}})
-	batches, rec := recoverColumns(sr, size, func(inst Instance) {
-		s.restoreInstance(inst)
-	})
+	batches, rec := recoverColumns(sr, size, s.restoreInstance)
 	runs, _ := NormalizeColumnRuns(batches)
 	return s, runs, rec, nil
 }
@@ -121,7 +134,7 @@ func RecoverSessionColumns(path string) (*Session, []*ColumnBatch, *Recovery, er
 // recoverColumns is recoverStream over column batches: same loop, same
 // damage taxonomy, but each surviving event frame is decoded onto its own
 // ColumnBatch instead of a []Event.
-func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance)) ([]*ColumnBatch, *Recovery) {
+func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance) bool) ([]*ColumnBatch, *Recovery) {
 	rec := &Recovery{}
 	var batches []*ColumnBatch
 	sawEnd := false
@@ -176,10 +189,7 @@ func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance)) ([]
 				stop(err)
 				return batches, rec
 			}
-			rec.Instances++
-			if onInstance != nil {
-				onInstance(inst)
-			}
+			rec.countInstance(onInstance, inst)
 		case frameAggregate:
 			// Advisory lazy-aggregation records. Delivered via OnAggregate
 			// when the caller wants them; a checksum-failed aggregate frame
@@ -235,8 +245,9 @@ func RecoverEventLog(path string) ([]Event, *Recovery, error) {
 
 // recoverStream drives the salvaging decode loop: read frames until the end
 // marker, the underlying EOF, or structural damage; skip checksum-failed
-// event frames. onInstance, when non-nil, receives registry records.
-func recoverStream(sr *StreamReader, size int64, onInstance func(Instance)) ([]Event, *Recovery) {
+// event frames. onInstance, when non-nil, receives registry records and
+// reports whether it kept them.
+func recoverStream(sr *StreamReader, size int64, onInstance func(Instance) bool) ([]Event, *Recovery) {
 	rec := &Recovery{}
 	var events []Event
 	sawEnd := false
@@ -281,10 +292,7 @@ loop:
 			events = append(events, ent.events...)
 			rec.Events += len(ent.events)
 		case frameInstance:
-			rec.Instances++
-			if onInstance != nil {
-				onInstance(ent.instance)
-			}
+			rec.countInstance(onInstance, ent.instance)
 		}
 	}
 	return events, rec

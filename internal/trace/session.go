@@ -50,6 +50,11 @@ type Session struct {
 	mu        sync.RWMutex
 	instances []Instance // index = InstanceID-1
 	handles   []*Handle  // container fast-path handles (handle.go)
+
+	// Restore accounting (restoreInstance): records placed and placeholder
+	// slots created for gaps.
+	restored     int
+	placeholders int
 }
 
 // Gate decides, before an event is materialized, whether it enters the

@@ -580,6 +580,51 @@ func TestCollectorServerCloseServesBacklog(t *testing.T) {
 	}
 }
 
+// TestCollectorServerDrainServesBacklog: Drain, like Close, accepts the
+// producers still queued in the listener's backlog and gives their streams
+// the drain window, instead of closing the listener on them.
+func TestCollectorServerDrainServesBacklog(t *testing.T) {
+	const producers, perProducer = 3, 500
+	conns := make([]net.Conn, producers)
+	var wg sync.WaitGroup
+	for p := range conns {
+		server, client := net.Pipe()
+		conns[p] = server
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rec, err := NewSocketRecorder(client)
+			if err != nil {
+				t.Errorf("producer %d: %v", p, err)
+				return
+			}
+			for i := 0; i < perProducer; i++ {
+				rec.Record(Event{Seq: uint64(p*perProducer + i + 1), Instance: InstanceID(p + 1), Op: OpRead, Index: i})
+			}
+			rec.Close()
+		}(p)
+	}
+	srv := NewCollectorServer(newBacklogListener(conns), ServerOptions{})
+	cut, err := srv.Drain(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.ServerStats().Accepted; got != producers {
+		for _, conn := range conns {
+			conn.Close() // release the producers stuck on unaccepted pipes
+		}
+		wg.Wait()
+		t.Fatalf("accepted %d backlogged connections, want %d", got, producers)
+	}
+	wg.Wait()
+	if cut != 0 {
+		t.Fatalf("drain cut %d connections, want 0", cut)
+	}
+	if got := len(srv.Events()); got != producers*perProducer {
+		t.Fatalf("received %d events, want %d", got, producers*perProducer)
+	}
+}
+
 func TestSessionString(t *testing.T) {
 	s := NewSession()
 	s.Register(KindList, "List[int]", "", 0)
